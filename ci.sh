@@ -132,13 +132,15 @@ loadpid=""
 echo "== hpcvet ./internal/wal (durability gates) =="
 go run ./cmd/hpcvet ./internal/wal
 
-echo "== wal fuzz smoke (record codec + segment replay) =="
+echo "== fuzz smoke (wal record codec + segment replay, gateway batch framing) =="
 # A short native-fuzz burst per target: enough to catch a fresh framing
 # or recovery panic without the wall-clock cost of a real campaign. The
-# committed corpora under internal/wal/testdata/fuzz replay in the
-# ordinary `go test` runs above regardless.
+# committed corpora under internal/wal/testdata/fuzz and
+# internal/gateway/testdata/fuzz replay in the ordinary `go test` runs
+# above regardless.
 go test -run '^$' -fuzz 'FuzzWALRecord$' -fuzztime 3s ./internal/wal > /dev/null
 go test -run '^$' -fuzz 'FuzzSegmentReplay$' -fuzztime 3s ./internal/wal > /dev/null
+go test -run '^$' -fuzz 'FuzzSplitBatchItems$' -fuzztime 3s ./internal/gateway > /dev/null
 
 echo "== wal: kill -9 mid-traffic, restart, byte-identical warm answers =="
 # The durability contract, end to end against the real binary: decide a
@@ -345,5 +347,6 @@ b3pid=""
 #   go test -fuzz=FuzzParseLicenseQuery -fuzztime=30s ./internal/serve
 #   go test -fuzz=FuzzWALRecord -fuzztime=30s ./internal/wal
 #   go test -fuzz=FuzzSegmentReplay -fuzztime=30s ./internal/wal
+#   go test -fuzz=FuzzSplitBatchItems -fuzztime=30s ./internal/gateway
 
 echo "ci.sh: all checks passed"

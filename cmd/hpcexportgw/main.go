@@ -1,9 +1,9 @@
 // hpcexportgw is the cluster front door: a consistent-hash routing
 // gateway over N hpcexportd backends. Canonical decision keys — the same
-// keys the backends' decision cache, singleflight group, and WAL use —
-// route to a stable owner shard; a thundering herd on one key costs one
-// backend computation cluster-wide; slow shards are hedged against a
-// second replica and the two answers are compared byte-for-byte.
+// keys the backends' decision cache and WAL use — route to a stable owner
+// shard, so each key is computed and cached on one backend; slow shards
+// are hedged against a second replica and the two answers are compared
+// byte-for-byte.
 //
 // Usage:
 //
@@ -24,7 +24,7 @@
 //
 // Endpoints (see README "Running a cluster"):
 //
-//	GET/POST /v1/license  keyed routing, singleflight, hedged reads;
+//	GET/POST /v1/license  keyed routing, hedged reads;
 //	                      batches scatter-gather across owner shards
 //	GET  /v1/healthz      aggregated cluster health
 //	GET  /metrics         the gateway's Prometheus exposition

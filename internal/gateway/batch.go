@@ -2,8 +2,10 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
+	"sync"
 
 	"repro/internal/serve"
 )
@@ -76,28 +78,17 @@ func (g *Gateway) scatterGather(w http.ResponseWriter, r *http.Request, reqs []s
 		return
 	}
 
-	ctx := r.Context()
-	inbound := r.Header
-	g.pool.Run(len(order), func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			sh := order[s]
-			body, err := encodeBatch(sh.reqs)
-			if err != nil {
-				sh.err = err
-				continue
-			}
-			sh.res, sh.err = g.forwardKeyed(ctx, sh.key, http.MethodPost, "/v1/license", body, inbound, "")
-			if sh.err != nil || sh.res.status != http.StatusOK {
-				continue
-			}
-			items, ok := splitBatchItems(sh.res.body)
-			if !ok || len(items) != len(sh.idx) {
-				sh.err = errUnsplittable
-				continue
-			}
-			sh.items = items
-		}
-	})
+	// One goroutine per shard: there are at most as many shards as
+	// members, and each goroutine writes only its own shard.
+	var wg sync.WaitGroup
+	for _, sh := range order {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.fetchShard(r.Context(), sh, r.Header)
+		}()
+	}
+	wg.Wait()
 
 	for _, sh := range order {
 		if sh.err != nil {
@@ -131,6 +122,26 @@ func (g *Gateway) scatterGather(w http.ResponseWriter, r *http.Request, reqs []s
 	writeRawJSON(w, http.StatusOK, body)
 }
 
+// fetchShard forwards one shard's sub-batch to its owner and splits the
+// answer into per-item bytes, recording the outcome on the shard.
+func (g *Gateway) fetchShard(ctx context.Context, sh *batchShard, inbound http.Header) {
+	body, err := encodeBatch(sh.reqs)
+	if err != nil {
+		sh.err = err
+		return
+	}
+	sh.res, sh.err = g.forwardKeyed(ctx, sh.key, http.MethodPost, "/v1/license", body, inbound, "")
+	if sh.err != nil || sh.res.status != http.StatusOK {
+		return
+	}
+	items, ok := splitBatchItems(sh.res.body)
+	if !ok || len(items) != len(sh.idx) {
+		sh.err = errUnsplittable
+		return
+	}
+	sh.items = items
+}
+
 var errUnsplittable = jsonError("backend batch response did not parse")
 
 type jsonError string
@@ -150,6 +161,9 @@ func encodeBatch(reqs []serve.LicenseRequest) ([]byte, error) {
 // reassembly both depend on it, so a framing change fails loudly here.
 const batchBodyPrefix = `{"decisions":[`
 
+// jsonSpace is the whitespace JSON allows between tokens.
+const jsonSpace = " \t\r\n"
+
 // splitBatchItems splits a backend batch response into its per-item
 // JSON values, verbatim. It is a framing scanner, not a JSON parser: it
 // tracks only string/escape state and bracket depth, so each item's
@@ -163,7 +177,7 @@ func splitBatchItems(body []byte) ([][]byte, bool) {
 		return nil, false
 	}
 	rest = rest[:len(rest)-2]
-	if len(rest) == 0 {
+	if len(bytes.Trim(rest, jsonSpace)) == 0 {
 		return nil, true
 	}
 	var items [][]byte

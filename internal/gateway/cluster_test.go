@@ -1,8 +1,9 @@
 // End-to-end cluster suites on the in-process harness. All of these run
-// under -race in CI: the herd test races 64 goroutines through the
-// gateway singleflight, the hedge test races two replicas and the
-// verifier, and the chaos acceptance test drives a seeded 1000-request
-// mix through three faulted backends.
+// under -race in CI: the herd test races 64 goroutines onto one cold
+// key, the batch test scatter-gathers eight cold batches at once, the
+// hedge test races two replicas and the verifier, and the chaos
+// acceptance test drives a seeded 1000-request mix through three faulted
+// backends.
 package gateway
 
 import (
@@ -178,46 +179,42 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 	return buf.Bytes()
 }
 
-// TestGatewayHerdSingleFill is the thundering-herd e2e: 64 goroutines
-// hit one cold key at once and exactly one backend computation happens
-// cluster-wide. The leader is held at a barrier until all 63 other
-// requests are provably coalesced behind it, so the assertion cannot
-// pass by lucky timing.
-func TestGatewayHerdSingleFill(t *testing.T) {
+// TestGatewayHerdByteIdentical is the thundering-herd e2e: 64 goroutines
+// hit one cold key at once. Every request does its own work: all 64
+// reach the key's one owner (and no other backend), every body is
+// byte-identical, and every response carries its own X-Request-Id — a
+// herd member is never handed another request's answer.
+func TestGatewayHerdByteIdentical(t *testing.T) {
 	const herd = 64
 	tc := newTestCluster(t, 3, Config{NoHedge: true}, nil)
 
 	req := licenseRequest(5)
-	key := decisionKeyOf(t, req)
-	tc.gw.flightBarrier = func(k string) {
-		if k != key {
-			return
-		}
-		deadline := time.Now().Add(10 * time.Second)
-		for tc.gw.flights.waitersFor(k) < herd-1 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-	}
-
+	owner := tc.gw.healthyOwners(decisionKeyOf(t, req), 1)[0]
 	target := "/v1/license?" + req.Values().Encode()
 	bodies := make([][]byte, herd)
 	codes := make([]int, herd)
+	ids := make([]string, herd)
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < herd; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			<-start
 			resp, err := tc.front.Client().Get(tc.front.URL + target)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			codes[i] = resp.StatusCode
+			ids[i] = resp.Header.Get("X-Request-Id")
 			bodies[i] = readAll(t, resp)
 		}(i)
 	}
+	close(start)
 	wg.Wait()
 
+	seen := make(map[string]int, herd)
 	for i := 0; i < herd; i++ {
 		if codes[i] != http.StatusOK {
 			t.Fatalf("request %d: %d: %s", i, codes[i], bodies[i])
@@ -225,19 +222,94 @@ func TestGatewayHerdSingleFill(t *testing.T) {
 		if !bytes.Equal(bodies[i], bodies[0]) {
 			t.Fatalf("request %d body differs from request 0", i)
 		}
+		if ids[i] == "" {
+			t.Errorf("request %d: no X-Request-Id", i)
+		} else if j, dup := seen[ids[i]]; dup {
+			t.Errorf("requests %d and %d share X-Request-Id %q", j, i, ids[i])
+		}
+		seen[ids[i]] = i
 	}
-	totalFills := 0
 	for _, tb := range tc.backends {
-		totalFills += tb.pathHits("/v1/license")
+		want := 0
+		if tb.url == owner {
+			want = herd
+		}
+		if got := tb.pathHits("/v1/license"); got != want {
+			t.Errorf("backend %s: %d license requests, want %d (owner %s)", tb.url, got, want, owner)
+		}
 	}
-	if totalFills != 1 {
-		t.Errorf("herd of %d cost %d backend computations, want exactly 1", herd, totalFills)
+}
+
+// TestGatewayConcurrentColdBatches scatter-gathers eight cold batches at
+// once — four distinct 120-item bodies, each sent twice — so every
+// backend answers several sub-batches of 32 or more misses concurrently.
+// Every body must be byte-identical to a single node answering the same
+// batch.
+func TestGatewayConcurrentColdBatches(t *testing.T) {
+	const (
+		distinct = 4
+		size     = 120
+	)
+	tc := newTestCluster(t, 3, Config{NoHedge: true}, nil)
+	single, err := serve.New(serve.Config{Clock: gwTestClock})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v := tc.gw.flightLeader.Value(); v != 1 {
-		t.Errorf("gateway_flight_leader_total = %d, want 1", v)
+
+	raws := make([][]byte, distinct)
+	want := make([][]byte, distinct)
+	for b := range raws {
+		reqs := make([]serve.LicenseRequest, size)
+		for i := range reqs {
+			reqs[i] = licenseRequest(1000 + b*size + i)
+		}
+		raw, err := json.Marshal(serve.BatchRequest{Requests: reqs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws[b] = raw
+		req := httptest.NewRequest(http.MethodPost, "/v1/license", bytes.NewReader(raw))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		single.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("reference batch %d: %d: %s", b, rec.Code, rec.Body.String())
+		}
+		want[b] = rec.Body.Bytes()
 	}
-	if v := tc.gw.flightCoalesced.Value(); v != herd-1 {
-		t.Errorf("gateway_flight_coalesced_total = %d, want %d", v, herd-1)
+
+	got := make([][]byte, 2*distinct)
+	codes := make([]int, 2*distinct)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resp, err := tc.front.Client().Post(tc.front.URL+"/v1/license", "application/json",
+				bytes.NewReader(raws[i%distinct]))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			codes[i] = resp.StatusCode
+			got[i] = readAll(t, resp)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	for i := range got {
+		if codes[i] != http.StatusOK {
+			t.Fatalf("batch %d: %d: %s", i, codes[i], got[i])
+		}
+		if !bytes.Equal(got[i], want[i%distinct]) {
+			t.Errorf("batch %d differs from the single-node answer", i)
+		}
+	}
+	if v := tc.gw.batchFanout.Value(); v < 2*distinct*2 {
+		t.Errorf("gateway_batch_fanout_total = %d, want >= %d (each batch over >= 2 shards)", v, 2*distinct*2)
 	}
 }
 
@@ -587,7 +659,7 @@ func TestVerifyHedgeMismatchIsRecorded(t *testing.T) {
 //   - every 200 body (single and batch) is byte-identical to an
 //     unfaulted single node answering the same request,
 //   - each cold key was computed exactly once cluster-wide — the sum of
-//     the backends' singleflight leader fills and of their decision-cache
+//     the backends' decision-cache misses and of their decision-cache
 //     sizes both equal the distinct-key count, and
 //   - gateway_hedge_mismatch_total is zero.
 func TestGatewayChaosClusterAcceptance(t *testing.T) {
@@ -661,9 +733,9 @@ func TestGatewayChaosClusterAcceptance(t *testing.T) {
 	for n := 0; n < mixRequests; n++ {
 		if rng.Intn(10) < 3 {
 			// A batch of 3..12 distinct keys, compared whole against the
-			// reference node. Distinct because a repeated key inside one
-			// batch re-leads a backend fill once the first flight drains —
-			// a backend-local edge that would blur the cluster-wide
+			// reference node. Distinct because a key repeated inside one
+			// cold batch misses, and fills, once per occurrence — a
+			// backend-local edge that would blur the cluster-wide
 			// one-fill-per-cold-key count this test pins.
 			size := 3 + rng.Intn(10)
 			perm := rng.Perm(distinct)[:size]
@@ -722,14 +794,10 @@ func TestGatewayChaosClusterAcceptance(t *testing.T) {
 		}
 	}
 
-	// Exactly one leader fill per cold key, cluster-wide.
+	// Exactly one fill per cold key, cluster-wide: the traffic is
+	// sequential, so every decision-cache miss is one fill.
 	totalFills, totalCached := uint64(0), 0
 	for _, tb := range tc.backends {
-		code, exposition := getJSON(t, tb.url+"/metrics")
-		if code != http.StatusOK {
-			t.Fatalf("backend metrics: %d", code)
-		}
-		totalFills += promCounterValue(t, exposition, "singleflight_leader_fills_total")
 		code, hz := getJSON(t, tb.url+"/v1/healthz")
 		if code != http.StatusOK {
 			t.Fatalf("backend healthz: %d", code)
@@ -738,13 +806,14 @@ func TestGatewayChaosClusterAcceptance(t *testing.T) {
 		if err := json.Unmarshal(hz, &h); err != nil {
 			t.Fatal(err)
 		}
+		totalFills += h.Decisions.Misses
 		totalCached += h.Decisions.Size
 		if h.Faults == nil || h.Faults.InjectedErrors == 0 {
 			t.Error("a chaos backend reports no injected faults; the test exercised nothing")
 		}
 	}
 	if totalFills != distinct {
-		t.Errorf("cluster-wide leader fills = %d, want exactly %d (one per cold key)", totalFills, distinct)
+		t.Errorf("cluster-wide cache fills = %d, want exactly %d (one per cold key)", totalFills, distinct)
 	}
 	if totalCached != distinct {
 		t.Errorf("cluster-wide cached decisions = %d, want %d", totalCached, distinct)

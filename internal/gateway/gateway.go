@@ -1,9 +1,9 @@
 // Package gateway implements hpcexportgw, the cluster front door: a
 // stdlib-only reverse proxy that consistent-hashes canonical decision
-// keys — the same keys the backends' LRU, singleflight group, and WAL
-// already agree on — across N hpcexportd replicas.
+// keys — the same keys the backends' LRU and WAL already agree on —
+// across N hpcexportd replicas.
 //
-//	GET/POST /v1/license  keyed routing, gateway singleflight, hedged reads;
+//	GET/POST /v1/license  keyed routing, hedged reads;
 //	                      batches scatter-gather across owner shards
 //	GET  /v1/healthz      aggregated cluster health (gateway + every backend)
 //	GET  /metrics         the gateway's own Prometheus exposition
@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/parpool"
 )
 
 // Defaults applied by New to zero Config fields.
@@ -53,7 +52,6 @@ const (
 	DefaultForwardTimeout = 10 * time.Second
 	DefaultDrainTimeout   = 5 * time.Second
 	DefaultMaxBatch       = 256
-	DefaultBatchWorkers   = 8
 )
 
 // hedgeMinSamples is how many latency observations a backend needs
@@ -116,9 +114,6 @@ type Config struct {
 	// its canonical rejection.
 	MaxBatch int
 
-	// BatchWorkers sizes the shard fan-out pool shared by all batches.
-	BatchWorkers int
-
 	// ForwardTimeout bounds one whole keyed fetch (all attempts and the
 	// hedge race); DrainTimeout bounds graceful shutdown.
 	ForwardTimeout time.Duration
@@ -168,9 +163,6 @@ type Gateway struct {
 	memberMtime  time.Time
 	memberLoaded bool
 
-	flights flightGroup
-	pool    *parpool.Pool
-
 	requests atomic.Uint64
 
 	// loopWG joins the prober goroutine; verifyWG joins hedge fetch and
@@ -178,24 +170,19 @@ type Gateway struct {
 	loopWG   sync.WaitGroup
 	verifyWG sync.WaitGroup
 
-	requestsC       *obs.Counter
-	hedges          *obs.Counter
-	hedgeWins       *obs.Counter
-	hedgeIdentical  *obs.Counter
-	hedgeMismatch   *obs.Counter
-	flightLeader    *obs.Counter
-	flightCoalesced *obs.Counter
-	retries         *obs.Counter
-	noHealthy       *obs.Counter
-	reloads         *obs.Counter
-	batches         *obs.Counter
-	batchFanout     *obs.Counter
+	requestsC      *obs.Counter
+	hedges         *obs.Counter
+	hedgeWins      *obs.Counter
+	hedgeIdentical *obs.Counter
+	hedgeMismatch  *obs.Counter
+	retries        *obs.Counter
+	noHealthy      *obs.Counter
+	reloads        *obs.Counter
+	batches        *obs.Counter
+	batchFanout    *obs.Counter
 
-	// flightBarrier is a test hook invoked by the singleflight leader
-	// between winning a key and fetching; afterHedgeVerify is invoked
-	// after every hedge verification with whether the bodies matched.
-	// Both are nil outside tests.
-	flightBarrier    func(key string)
+	// afterHedgeVerify is a test hook invoked after every hedge
+	// verification with whether the bodies matched; nil outside tests.
 	afterHedgeVerify func(match bool)
 }
 
@@ -248,12 +235,6 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	if cfg.BatchWorkers == 0 {
-		cfg.BatchWorkers = DefaultBatchWorkers
-	}
-	if cfg.BatchWorkers < 1 {
-		return nil, errors.New("gateway: BatchWorkers must be at least 1")
-	}
 	if cfg.ForwardTimeout == 0 {
 		cfg.ForwardTimeout = DefaultForwardTimeout
 	}
@@ -293,7 +274,6 @@ func New(cfg Config) (*Gateway, error) {
 		reg:      obs.NewRegistry(),
 		backends: make(map[string]*backend),
 		ring:     buildRing(nil, cfg.VNodes),
-		pool:     parpool.New(cfg.BatchWorkers),
 	}
 	if cfg.FlightCapacity >= 0 {
 		g.flightrec = obs.NewRecorder(cfg.FlightCapacity)
@@ -303,8 +283,6 @@ func New(cfg Config) (*Gateway, error) {
 	g.hedgeWins = g.reg.Counter("gateway_hedge_wins_total", "hedged fetches that answered before the primary")
 	g.hedgeIdentical = g.reg.Counter("gateway_hedge_identical_total", "hedge races where both replicas answered byte-identically")
 	g.hedgeMismatch = g.reg.Counter("gateway_hedge_mismatch_total", "hedge races where the replicas' bodies differed (determinism violation)")
-	g.flightLeader = g.reg.Counter("gateway_flight_leader_total", "keyed fetches that led a singleflight fill")
-	g.flightCoalesced = g.reg.Counter("gateway_flight_coalesced_total", "keyed fetches coalesced onto an in-flight leader")
 	g.retries = g.reg.Counter("gateway_retries_total", "forwarding retries (transport failover and retryable statuses)")
 	g.noHealthy = g.reg.Counter("gateway_no_healthy_fallback_total", "keyed routes that fell back to a drained member because none were healthy")
 	g.reloads = g.reg.Counter("gateway_membership_reloads_total", "membership changes applied (including the initial set)")
@@ -370,12 +348,10 @@ func (g *Gateway) Start(ctx context.Context) {
 }
 
 // Close joins every goroutine the gateway owns: the prober (after its
-// context is cancelled), in-flight hedge fetches and verifiers, and the
-// shard fan-out pool.
+// context is cancelled) and in-flight hedge fetches and verifiers.
 func (g *Gateway) Close() {
 	g.loopWG.Wait()
 	g.verifyWG.Wait()
-	g.pool.Close()
 }
 
 // routes builds the endpoint mux.

@@ -12,8 +12,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -91,22 +89,6 @@ func getJSON(t *testing.T, url string) (int, []byte) {
 		t.Fatalf("GET %s: %v", url, err)
 	}
 	return resp.StatusCode, body
-}
-
-// promCounterValue parses one un-labelled counter out of a Prometheus
-// exposition.
-func promCounterValue(t *testing.T, exposition []byte, name string) uint64 {
-	t.Helper()
-	re := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\d+)$`)
-	m := re.FindSubmatch(exposition)
-	if m == nil {
-		t.Fatalf("metric %s not found in exposition", name)
-	}
-	v, err := strconv.ParseUint(string(m[1]), 10, 64)
-	if err != nil {
-		t.Fatalf("metric %s: %v", name, err)
-	}
-	return v
 }
 
 // testCluster is K instrumented backends and one gateway, with the

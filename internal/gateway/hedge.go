@@ -49,8 +49,7 @@ func (g *Gateway) hedgeDelay(owner string) time.Duration {
 // when both replicas answered 200, asserts the bodies are byte-identical
 // — the determinism contract, audited for free on every hedge. The
 // fetches run on a context detached from the caller's (bounded by
-// ForwardTimeout instead), so coalesced waiters sharing this fill do not
-// die with the leader's request, and the losing replica completes for
+// ForwardTimeout instead), so the losing replica completes for
 // verification even after the winner is already written.
 func (g *Gateway) hedgedFetch(ctx context.Context, key, method, uri string, body []byte, inbound http.Header) (*proxyResult, error) {
 	fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), g.cfg.ForwardTimeout)

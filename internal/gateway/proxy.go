@@ -7,13 +7,18 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"repro/internal/serve"
 )
 
 // errNoBackends is returned when no member can accept a request at all.
 var errNoBackends = errors.New("no routable backend")
+
+// errBodyTooLarge reports a backend answer longer than maxBodyBytes. The
+// gateway buffers whole answers, so the alternative would be forwarding
+// a cut body under the backend's status; it fails the request instead,
+// and never retries, since any replica would answer the same bytes.
+var errBodyTooLarge = errors.New("backend response body exceeds 1 MiB")
 
 // proxyResult is one backend answer, fully buffered: status, the
 // backend's headers, the body bytes, and which backend produced it.
@@ -53,7 +58,8 @@ func retryableStatus(code int) bool {
 }
 
 // forwardOnce performs one exchange with one backend, buffering the
-// answer and charging the backend's instruments.
+// answer and charging the backend's instruments. An answer longer than
+// maxBodyBytes is an error, never a truncated result.
 func (g *Gateway) forwardOnce(ctx context.Context, b *backend, method, uri string, body []byte, inbound http.Header) (*proxyResult, error) {
 	var rd io.Reader
 	if len(body) > 0 {
@@ -76,9 +82,12 @@ func (g *Gateway) forwardOnce(ctx context.Context, b *backend, method, uri strin
 		b.errors.Inc()
 		return nil, err
 	}
-	data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+	data, rerr := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
 	_ = resp.Body.Close()
 	b.latency.ObserveDuration(g.clock().Sub(begin))
+	if rerr == nil && len(data) > maxBodyBytes {
+		rerr = errBodyTooLarge
+	}
 	if rerr != nil {
 		b.errors.Inc()
 		return nil, rerr
@@ -151,7 +160,7 @@ func (g *Gateway) forwardKeyed(ctx context.Context, key, method, uri string, bod
 		res, err := g.forwardOnce(ctx, b, method, uri, body, inbound)
 		if err != nil {
 			lastErr = err
-			if ctx.Err() != nil {
+			if ctx.Err() != nil || errors.Is(err, errBodyTooLarge) {
 				break
 			}
 			g.retries.Inc()
@@ -179,87 +188,13 @@ func (g *Gateway) forwardKeyed(ctx context.Context, key, method, uri string, bod
 	return nil, lastErr
 }
 
-// ---- gateway singleflight ------------------------------------------------
-
-// gwCall is one in-flight keyed fetch; waiters block on done and share
-// the leader's result (safe: proxyResult bodies are never mutated after
-// fill).
-type gwCall struct {
-	done    chan struct{}
-	waiters int
-	res     *proxyResult
-	err     error
-}
-
-// flightGroup coalesces concurrent fetches of one canonical key so a
-// thundering herd costs one backend computation cluster-wide.
-type flightGroup struct {
-	mu    sync.Mutex
-	calls map[string]*gwCall
-}
-
-// do runs fn once per key per flight; concurrent callers share the
-// result. leader reports whether this caller computed. Errors propagate
-// to every waiter but are never cached: the next request leads afresh.
-func (f *flightGroup) do(key string, fn func() (*proxyResult, error)) (res *proxyResult, err error, leader bool) {
-	f.mu.Lock()
-	if f.calls == nil {
-		f.calls = make(map[string]*gwCall)
-	}
-	if c, ok := f.calls[key]; ok {
-		c.waiters++
-		f.mu.Unlock()
-		<-c.done
-		return c.res, c.err, false
-	}
-	c := &gwCall{done: make(chan struct{})}
-	f.calls[key] = c
-	f.mu.Unlock()
-
-	filled := false
-	defer func() {
-		if !filled {
-			c.err = errors.New("gateway: keyed fetch panicked")
-		}
-		f.mu.Lock()
-		delete(f.calls, key)
-		f.mu.Unlock()
-		close(c.done)
-	}()
-	c.res, c.err = fn()
-	filled = true
-	return c.res, c.err, true
-}
-
-// waitersFor reports how many callers are blocked on key's in-flight
-// fetch right now (a test hook for the herd tests).
-func (f *flightGroup) waitersFor(key string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.calls[key]; ok {
-		return c.waiters
-	}
-	return 0
-}
-
 // ---- handlers ------------------------------------------------------------
 
-// serveKeyed answers one canonical-keyed license request: singleflight
-// first (a herd on one key costs one fetch), then a hedged fetch by the
-// leader.
+// serveKeyed answers one canonical-keyed license request with a hedged
+// fetch from the key's owner.
 func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, key, method, uri string, body []byte) {
 	requestCapture(r).SetKey([]byte(key))
-	res, err, leader := g.flights.do(key, func() (*proxyResult, error) {
-		if g.flightBarrier != nil {
-			g.flightBarrier(key)
-		}
-		return g.hedgedFetch(r.Context(), key, method, uri, body, r.Header)
-	})
-	if leader {
-		g.flightLeader.Inc()
-	} else {
-		g.flightCoalesced.Inc()
-	}
+	res, err := g.hedgedFetch(r.Context(), key, method, uri, body, r.Header)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "gateway: %v", err)
 		return

@@ -3,9 +3,12 @@ package keysearch
 import (
 	"errors"
 	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/parpool"
 )
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
@@ -160,6 +163,16 @@ func TestKeysPerSecond(t *testing.T) {
 // TestParallelSpeedup measures the claim itself: multiple workers search
 // faster than one. CI machines vary; require only a 1.3× gain from 1→4
 // workers on an exhaustive (no-early-exit) search.
+//
+// Other test binaries share the machine under `go test ./...`, and on a
+// 2-CPU box one busy neighbour leaves the 4-worker search a single CPU
+// for as long as it runs. So the 1- and 4-worker pools alternate, the
+// order flipping each round, and the test compares the medians of the
+// last nine rounds of each: load that comes and goes lands on both
+// sides. While those medians fall short it keeps sampling, for up to
+// 20 s, so a neighbour that finishes lets the claim be measured; a
+// search that does not parallelise never reaches the bound in any
+// window.
 func TestParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -167,22 +180,63 @@ func TestParallelSpeedup(t *testing.T) {
 	if runtime.NumCPU() < 2 {
 		t.Skip("needs ≥2 CPUs to observe parallel speedup")
 	}
+	const (
+		window = 9
+		space  = 1 << 19
+		budget = 20 * time.Second
+	)
 	pairs := MakePairs(1<<40, 1, 2) // never found: exhausts the range
-	const space = 1 << 21
-	r1, err := Search(pairs, 0, space, 1)
+	p1, p4 := parpool.New(1), parpool.New(4)
+	defer p1.Close()
+	defer p4.Close()
+	var t1, t4 []float64
+	time1 := func() { t1 = append(t1, searchSeconds(t, p1, pairs, space)) }
+	time4 := func() { t4 = append(t4, searchSeconds(t, p4, pairs, space)) }
+	deadline := time.Now().Add(budget)
+	for r := 0; ; r++ {
+		if r%2 == 0 {
+			time1()
+			time4()
+		} else {
+			time4()
+			time1()
+		}
+		if r+1 < window {
+			continue
+		}
+		w1, w4 := t1[r+1-window:], t4[r+1-window:]
+		m1, m4 := median(w1), median(w4)
+		if m1 <= 0 || m4 <= 0 {
+			t.Skip("timer resolution too coarse")
+		}
+		sp := m1 / m4
+		if sp >= 1.3 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("median speedup 1→4 workers = %.2f over the last %d of %d rounds (1 worker %v, 4 workers %v), want ≥1.3 (embarrassingly parallel)",
+				sp, window, r+1, w1, w4)
+			return
+		}
+	}
+}
+
+// searchSeconds times one exhaustive search of [0, space) on p.
+func searchSeconds(t *testing.T, p *parpool.Pool, pairs []Pair, space uint64) float64 {
+	t.Helper()
+	r, err := SearchOn(p, pairs, 0, space, time.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := Search(pairs, 0, space, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r4.Seconds <= 0 || r1.Seconds <= 0 {
-		t.Skip("timer resolution too coarse")
-	}
-	if sp := r1.Seconds / r4.Seconds; sp < 1.3 {
-		t.Errorf("speedup 1→4 workers = %.2f, want ≥1.3 (embarrassingly parallel)", sp)
-	}
+	return r.Seconds
+}
+
+// median returns the middle value of xs (the upper middle for an even
+// count), sorting a copy.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[len(s)/2]
 }
 
 // TestSearchClockIsDeterministic: with an injected scripted clock the

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -102,51 +104,72 @@ func TestLicenseBatchBodyMatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestLicenseBatchParallelMatchesInline answers one large batch on a
-// multi-worker server and again on a BatchWorkers:1 server, requiring
-// byte-identical bodies: parallel evaluation is an execution detail, not
-// an observable one.
+// TestLicenseBatchParallelMatchesInline answers eight cold 96-item
+// batches concurrently on one server — four distinct bodies, each sent
+// twice, so concurrent batches also race on the same keys — and requires
+// each body to be byte-identical to the same batch answered alone on a
+// fresh server: concurrency is an execution detail, not an observable
+// one.
 func TestLicenseBatchParallelMatchesInline(t *testing.T) {
-	var sb strings.Builder
-	sb.WriteString(`{"requests":[`)
-	for i := 0; i < 96; i++ {
-		if i > 0 {
-			sb.WriteByte(',')
+	const distinct = 4
+	bodies := make([]string, distinct)
+	want := make([][]byte, distinct)
+	for b := range bodies {
+		var sb strings.Builder
+		sb.WriteString(`{"requests":[`)
+		for i := 0; i < 96; i++ {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			k := b*96 + i
+			switch i % 4 {
+			case 0:
+				fmt.Fprintf(&sb, `{"ctp":%d,"destination":"japan","endUse":"lot %d"}`, 100+k*37, k)
+			case 1:
+				fmt.Fprintf(&sb, `{"ctp":%d,"destination":"india"}`, 1900+k*11)
+			case 2:
+				fmt.Fprintf(&sb, `{"system":"Cray C916","destination":"dest-%d"}`, k)
+			default:
+				fmt.Fprintf(&sb, `{"system":"missing-%d","destination":"japan"}`, k)
+			}
 		}
-		switch i % 4 {
-		case 0:
-			fmt.Fprintf(&sb, `{"ctp":%d,"destination":"japan","endUse":"lot %d"}`, 100+i*37, i)
-		case 1:
-			fmt.Fprintf(&sb, `{"ctp":%d,"destination":"india"}`, 1900+i*11)
-		case 2:
-			fmt.Fprintf(&sb, `{"system":"Cray C916","destination":"dest-%d"}`, i)
-		default:
-			fmt.Fprintf(&sb, `{"system":"missing-%d","destination":"japan"}`, i)
+		sb.WriteString(`]}`)
+		bodies[b] = sb.String()
+		rec := do(t, newTestServer(t).Handler(), "POST", "/v1/license", bodies[b])
+		if rec.Code != http.StatusOK {
+			t.Fatalf("reference batch %d: status %d", b, rec.Code)
 		}
+		want[b] = rec.Body.Bytes()
 	}
-	sb.WriteString(`]}`)
-	body := sb.String()
 
-	par, err := New(Config{Clock: testClock, BatchWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
+	h := newTestServer(t).Handler()
+	got := make([]*httptest.ResponseRecorder, 2*distinct)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/license", strings.NewReader(bodies[i%distinct])))
+			got[i] = rec
+		}(i)
 	}
-	inl, err := New(Config{Clock: testClock, BatchWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recPar := do(t, par.Handler(), "POST", "/v1/license", body)
-	recInl := do(t, inl.Handler(), "POST", "/v1/license", body)
-	if recPar.Code != http.StatusOK || recInl.Code != http.StatusOK {
-		t.Fatalf("status parallel=%d inline=%d", recPar.Code, recInl.Code)
-	}
-	if !bytes.Equal(recPar.Body.Bytes(), recInl.Body.Bytes()) {
-		t.Error("parallel batch body differs from inline batch body")
+	close(start)
+	wg.Wait()
+	for i, rec := range got {
+		if rec.Code != http.StatusOK {
+			t.Fatalf("concurrent batch %d: status %d", i, rec.Code)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want[i%distinct]) {
+			t.Errorf("concurrent batch %d differs from the batch answered alone", i)
+		}
 	}
 	// And a second, warm pass over the same batch is byte-identical to
 	// the cold one (hit ≡ cold, batch form).
-	recWarm := do(t, par.Handler(), "POST", "/v1/license", body)
-	if !bytes.Equal(recWarm.Body.Bytes(), recPar.Body.Bytes()) {
+	recWarm := do(t, h, "POST", "/v1/license", bodies[0])
+	if !bytes.Equal(recWarm.Body.Bytes(), want[0]) {
 		t.Error("warm batch body differs from cold batch body")
 	}
 }

@@ -28,11 +28,6 @@ var (
 // keySep separates the fields of a canonical decision cache key.
 const keySep = 0x1f
 
-// batchParallelMin is the number of uncached batch items below which the
-// fill loop runs inline: handing a handful of evaluations to the worker
-// pool costs more in coordination than the evaluations themselves.
-const batchParallelMin = 32
-
 // fillArgs is a resolved license request: the canonicalized inputs a
 // decision is a pure function of. It is passed by pointer through the
 // cache-fill path instead of being captured in a closure, which is what
@@ -46,7 +41,7 @@ type fillArgs struct {
 }
 
 // batchSlot is one batch item's state as it moves through the three batch
-// phases (resolve, batched cache lookup, parallel fill).
+// phases (resolve, batched cache lookup, fill).
 type batchSlot struct {
 	args   fillArgs
 	dec    *cachedDecision
@@ -272,15 +267,11 @@ func (s *Server) evalDecision(ctx context.Context, a *fillArgs) (*cachedDecision
 	return d, nil
 }
 
-// fillDecision is the coalescing leader's computation: evaluate, encode,
-// and publish to the LRU. The Put happens before flightDo removes the
-// in-flight call, so any request arriving after the fill completes finds
-// the cache warm — there is no window where neither the flight map nor
-// the cache answers.
+// fillDecision answers a cache miss: evaluate, encode, and publish to the
+// LRU, on the calling request's goroutine. Concurrent misses on one key
+// each compute; a decision is a pure function of its key, so their
+// bodies are byte-identical and a later Put replaces an equal entry.
 func (s *Server) fillDecision(ctx context.Context, skey string, a *fillArgs) (*cachedDecision, error) {
-	if s.flightBarrier != nil {
-		s.flightBarrier(skey)
-	}
 	d, herr := s.evalDecision(ctx, a)
 	if herr != nil {
 		return nil, herr

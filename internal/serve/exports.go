@@ -2,8 +2,8 @@ package serve
 
 // Exported request-shape hooks for the routing gateway (internal/gateway).
 //
-// The gateway routes by the same canonical decision key the LRU,
-// singleflight group, and WAL use, so a key's owner shard is stable and
+// The gateway routes by the same canonical decision key the LRU and WAL
+// use, so a key's owner shard is stable and
 // every layer of the system agrees on identity. These hooks expose just
 // enough of the server's parsing and resolution machinery to compute
 // that key outside a Server instance — the logic is shared with the

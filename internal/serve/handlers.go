@@ -196,15 +196,14 @@ func writeDecision(w http.ResponseWriter, d *cachedDecision, cacheState []string
 }
 
 // answerLicense resolves and answers one decision, with an X-Cache
-// header recording whether the LRU (or a coalesced in-flight fill)
-// answered. The warm path — parse, resolve, key render, LRU hit, header
-// and body writes — performs zero heap allocations; the benchmark suite
-// pins that with testing.AllocsPerRun.
+// header recording whether the LRU answered. The warm path — parse,
+// resolve, key render, LRU hit, header and body writes — performs zero
+// heap allocations; the benchmark suite pins that with
+// testing.AllocsPerRun.
 //
 // A degraded request treats the cache as poisoned: no read (the entry
 // cannot be trusted), no write (this computation must not displace good
-// entries), and no coalescing (a waiter would be handed a cacheable
-// result). Because cached decisions are immutable and a hit is
+// entries). Because cached decisions are immutable and a hit is
 // byte-identical to the cold computation, the fallback answer matches
 // the cached one exactly.
 func (s *Server) answerLicense(w http.ResponseWriter, r *http.Request, req *LicenseRequest, sc *scratch) {
@@ -235,15 +234,9 @@ func (s *Server) answerLicense(w http.ResponseWriter, r *http.Request, req *Lice
 	}
 	lookup.SetAttr("result", "miss")
 	lookup.End()
-	d, coalesced, err := s.flightDo(ctx, sc.key, &sc.args)
+	d, err := s.fillDecision(ctx, string(sc.key), &sc.args)
 	if err != nil {
 		writeError(w, statusOf(err), "%v", err)
-		return
-	}
-	if coalesced {
-		// A coalesced waiter was answered by another request's
-		// computation, exactly as a cache hit would have answered it.
-		writeDecision(w, d, headerCacheHit)
 		return
 	}
 	writeDecision(w, d, headerCacheMiss)
@@ -251,12 +244,10 @@ func (s *Server) answerLicense(w http.ResponseWriter, r *http.Request, req *Lice
 
 // answerBatch answers a batch in three vectorized phases: resolve every
 // item, look every canonical key up under one cache lock, then fill the
-// misses — in parallel on the batch pool when enough evaluations remain
-// — and assemble the response from the items' precomputed bytes. Each
-// phase touches its shared structure (cache, flight group) once per
-// batch rather than once per item, and duplicate keys within one batch
-// coalesce to a single evaluation through the same singleflight group
-// the GET path uses.
+// misses inline on the request goroutine and assemble the response from
+// the items' precomputed bytes. Concurrent batches share nothing but the
+// cache, so each runs in parallel with the others exactly as single
+// requests do.
 func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, sc *scratch) {
 	ctx := r.Context()
 	reqs := sc.pb.Requests
@@ -322,37 +313,29 @@ func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, sc *scratch
 	}
 	lookup.End()
 
-	// Phase 3: fill the remaining evaluations, splitting them across the
-	// batch pool when enough remain to amortize the handoff.
+	// Phase 3: fill the remaining evaluations.
 	if pending > 0 {
 		eval := obs.Child(ctx, "safeguards.evaluate")
-		fill := func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sl := &slots[i]
-				if !sl.ok || sl.dec != nil {
-					continue
-				}
-				if degraded {
-					d, herr := s.evalDecision(ctx, &sl.args)
-					if herr != nil {
-						sl.errMsg = herr.Error()
-						continue
-					}
-					sl.dec = d
-					continue
-				}
-				d, _, err := s.flightDo(ctx, sc.keys[i], &sl.args)
-				if err != nil {
-					sl.errMsg = err.Error()
+		for i := range slots {
+			sl := &slots[i]
+			if !sl.ok || sl.dec != nil {
+				continue
+			}
+			if degraded {
+				d, herr := s.evalDecision(ctx, &sl.args)
+				if herr != nil {
+					sl.errMsg = herr.Error()
 					continue
 				}
 				sl.dec = d
+				continue
 			}
-		}
-		if p := s.batchPool(); p != nil && pending >= batchParallelMin {
-			p.Run(n, func(_, lo, hi int) { fill(lo, hi) })
-		} else {
-			fill(0, n)
+			d, err := s.fillDecision(ctx, string(sc.keys[i]), &sl.args)
+			if err != nil {
+				sl.errMsg = err.Error()
+				continue
+			}
+			sl.dec = d
 		}
 		eval.End()
 	}

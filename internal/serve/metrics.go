@@ -97,12 +97,6 @@ type serverMetrics struct {
 	panics   *obs.Counter
 	routes   map[string]*routeInstruments
 
-	// Singleflight accounting for the decision cache: how many cold
-	// fills were computed as coalescing leader, and how many requests
-	// rode along on another request's in-flight computation.
-	flightLeaders *obs.Counter
-	flightWaiters *obs.Counter
-
 	// Fault-injection instruments, registered only when a fault plan is
 	// mounted so an unfaulted daemon's exposition shape is unchanged.
 	// faults indexes [kind-1] for Error, Latency, Poison.
@@ -121,10 +115,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		panics:   reg.Counter("http_panics_total", "handler panics recovered by the middleware"),
 		routes:   make(map[string]*routeInstruments, len(obsRoutes)),
 	}
-	m.flightLeaders = reg.Counter("singleflight_leader_fills_total",
-		"cold decision fills computed as the coalescing leader")
-	m.flightWaiters = reg.Counter("singleflight_coalesced_waits_total",
-		"decision requests coalesced onto another request's in-flight fill")
 	for _, route := range obsRoutes {
 		if selfObserved(route) {
 			continue
@@ -203,22 +193,6 @@ func registerWALMetrics(reg *obs.Registry, s *Server) {
 		func() float64 { return float64(s.watchEvents.Load()) })
 	reg.Func("watch_events_dropped_total", "events dropped at slow /v1/watch subscribers", obs.KindCounter,
 		func() float64 { return float64(s.wal.Events().Dropped()) })
-}
-
-// flightLead records one cold fill computed as coalescing leader.
-func (m *serverMetrics) flightLead() {
-	if m == nil {
-		return
-	}
-	m.flightLeaders.Inc()
-}
-
-// flightWait records one request coalesced onto an in-flight fill.
-func (m *serverMetrics) flightWait() {
-	if m == nil {
-		return
-	}
-	m.flightWaiters.Inc()
 }
 
 // faultInjected records one injected fault. kind must be a real fault

@@ -39,7 +39,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -48,7 +47,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/parpool"
 	"repro/internal/slo"
 	"repro/internal/threshold"
 	"repro/internal/trend"
@@ -79,7 +77,6 @@ type Config struct {
 	MaxInFlight    int           // concurrent requests admitted past the semaphore
 	RequestTimeout time.Duration // per-request deadline enforced by the middleware
 	MaxBatch       int           // largest accepted /v1/license batch
-	BatchWorkers   int           // workers evaluating large batches in parallel; 1 forces inline
 	CacheSize      int           // capacity of each LRU cache
 	DrainTimeout   time.Duration // how long Shutdown waits for in-flight requests
 	TraceCapacity  int           // completed traces kept for /v1/traces; < 0 disables tracing
@@ -191,20 +188,9 @@ type Server struct {
 	decisions *decisionLRU
 	snapshots *LRU[string, *threshold.Snapshot]
 
-	// flights coalesces concurrent cold fills of one decision key;
-	// flightBarrier is a test hook invoked by the coalescing leader
-	// between winning the key and computing, nil outside tests.
-	flights       flightGroup
-	flightBarrier func(key string)
-
 	// systemsByName indexes the catalog by exact name, short-circuiting
 	// the linear scan for the common named-system request.
 	systemsByName map[string]catalog.System
-
-	// pool evaluates large license batches in parallel; built lazily by
-	// batchPool on the first batch big enough to want it.
-	pool     *parpool.Pool
-	poolOnce sync.Once
 
 	projOnce sync.Once
 	projFit  trend.Exponential
@@ -233,12 +219,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBatch < 1 {
 		return nil, errors.New("serve: MaxBatch must be at least 1")
-	}
-	if cfg.BatchWorkers == 0 {
-		cfg.BatchWorkers = defaultBatchWorkers()
-	}
-	if cfg.BatchWorkers < 1 {
-		return nil, errors.New("serve: BatchWorkers must be at least 1")
 	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = DefaultCacheSize
@@ -380,30 +360,4 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 // canonicalFloat renders a float the one way cache keys use.
 func canonicalFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// defaultBatchWorkers sizes the batch evaluation pool: one worker per
-// CPU, capped at 8 — license evaluations are short, so more workers buy
-// contention, not throughput.
-func defaultBatchWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// batchPool returns the lazily built batch evaluation pool, nil when the
-// configuration forces inline evaluation. Building it lazily keeps every
-// single-request daemon and test server at zero extra goroutines.
-func (s *Server) batchPool() *parpool.Pool {
-	s.poolOnce.Do(func() {
-		if s.cfg.BatchWorkers > 1 {
-			s.pool = parpool.New(s.cfg.BatchWorkers)
-		}
-	})
-	return s.pool
 }

@@ -44,9 +44,10 @@ const (
 // FsyncPolicy says when Append pushes bytes to stable storage.
 type FsyncPolicy struct {
 	// Every is the number of appends between fsyncs: 1 syncs every
-	// append (the durable default), N > 1 amortizes one sync over N
-	// appends, and 0 never syncs on append (segment close and snapshot
-	// writes still sync, so completed segments are always stable).
+	// append (ParseFsyncPolicy's default), N > 1 amortizes one sync over
+	// N appends, and 0 — the zero value — never syncs on append (segment
+	// close and snapshot writes still sync, so completed segments are
+	// always stable).
 	Every int
 }
 
@@ -91,7 +92,7 @@ func (p FsyncPolicy) String() string {
 type Options struct {
 	Dir          string
 	SegmentBytes int64       // rotate once a segment exceeds this; 0 = DefaultSegmentBytes
-	Fsync        FsyncPolicy // zero value = FsyncAlways
+	Fsync        FsyncPolicy // zero value = FsyncNever; durable callers pass FsyncAlways
 	HubRing      int         // replayable event-ring capacity; 0 = DefaultHubRing
 
 	// opener replaces the segment-file opener; nil means the real

@@ -83,6 +83,18 @@ func TestParseFsyncPolicy(t *testing.T) {
 	}
 }
 
+// TestFsyncPolicyDefaults pins the two defaults that differ: an unset
+// Options.Fsync never syncs on append, while the flag parser's empty
+// string means always.
+func TestFsyncPolicyDefaults(t *testing.T) {
+	if got := (Options{}).Fsync; got != FsyncNever {
+		t.Errorf("zero Options.Fsync = %v, want %v", got, FsyncNever)
+	}
+	if got, err := ParseFsyncPolicy(""); err != nil || got != FsyncAlways {
+		t.Errorf(`ParseFsyncPolicy("") = %v, %v; want %v`, got, err, FsyncAlways)
+	}
+}
+
 func TestOpenValidation(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {
 		t.Fatal("Open without Dir: want error")
