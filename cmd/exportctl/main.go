@@ -328,8 +328,7 @@ func printCapture(c *obs.Capture) {
 }
 
 // remoteCluster prints a gateway's aggregated cluster view: the verdict
-// line, the hedge counters (the byte-identity contract's scoreboard),
-// and one row per backend with its routing state and probe history.
+// line and one row per backend with its routing state and probe history.
 func remoteCluster(base string, attempts int) error {
 	api, err := remoteClient(base, attempts)
 	if err != nil {
@@ -348,7 +347,6 @@ func remoteCluster(base string, attempts int) error {
 	}
 	fmt.Printf("cluster via %s: %s — %d/%d backends healthy, %d requests, up %.0fs\n",
 		base, hr.Status, hr.Healthy, hr.Members, hr.Requests, hr.UptimeSeconds)
-	fmt.Printf("hedged reads: %d, byte mismatches: %d\n", hr.Hedges, hr.HedgeMismatches)
 	fmt.Println("==========================")
 	fmt.Printf("%-30s %-9s %-12s %9s %7s %7s %8s\n",
 		"backend", "state", "last", "requests", "errors", "drains", "rejoins")

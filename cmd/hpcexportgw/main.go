@@ -1,16 +1,15 @@
 // hpcexportgw is the cluster front door: a consistent-hash routing
 // gateway over N hpcexportd backends. Canonical decision keys — the same
 // keys the backends' decision cache and WAL use — route to a stable owner
-// shard, so each key is computed and cached on one backend; slow shards
-// are hedged against a second replica and the two answers are compared
-// byte-for-byte.
+// shard, so each key is computed and cached on one backend. Each request
+// is forwarded to one owner at a time, under the client's own context:
+// a client that hangs up cancels the backend exchange.
 //
 // Usage:
 //
 //	hpcexportgw -backends http://localhost:8095,http://localhost:8096
 //	hpcexportgw -membership cluster.txt      # file-watched member list
 //	hpcexportgw -addr :8094 -vnodes 128 -probe-every 1s -rejoin-after 3
-//	hpcexportgw -no-hedge                    # disable hedged reads
 //	hpcexportgw -version                     # print build info and exit
 //
 // The gateway drains gracefully on SIGTERM or SIGINT, like the backends.
@@ -24,12 +23,12 @@
 //
 // Endpoints (see README "Running a cluster"):
 //
-//	GET/POST /v1/license  keyed routing, hedged reads;
+//	GET/POST /v1/license  keyed routing to the key's owner;
 //	                      batches scatter-gather across owner shards
 //	GET  /v1/healthz      aggregated cluster health
 //	GET  /metrics         the gateway's Prometheus exposition
 //	GET  /v1/metrics      the same registry as JSON
-//	GET  /v1/flightrec    hedge-mismatch flight recorder
+//	GET  /v1/flightrec    flight recorder (5xx answers pin)
 //	everything else       proxied to the URI-hash owner backend
 package main
 
@@ -60,8 +59,6 @@ func main() {
 		rejoin     = flag.Int("rejoin-after", gateway.DefaultRejoinAfter, "consecutive healthy probes before a drained backend rejoins")
 		attempts   = flag.Int("attempts", gateway.DefaultAttempts, "forwarding attempts per request")
 		maxBatch   = flag.Int("batch", gateway.DefaultMaxBatch, "largest batch scatter-gathered (larger forwards whole)")
-		noHedge    = flag.Bool("no-hedge", false, "disable hedged reads")
-		hedgeCold  = flag.Duration("hedge-cold", gateway.DefaultHedgeCold, "hedge delay before latency history accumulates")
 		drain      = flag.Duration("drain", gateway.DefaultDrainTimeout, "shutdown drain window")
 		flightCap  = flag.Int("flightrec", 0, "flight-recorder ring capacity; 0 uses the default, negative disables capture")
 		quiet      = flag.Bool("quiet", false, "disable event logging")
@@ -93,8 +90,6 @@ func main() {
 		RejoinAfter:    *rejoin,
 		Attempts:       *attempts,
 		MaxBatch:       *maxBatch,
-		NoHedge:        *noHedge,
-		HedgeCold:      *hedgeCold,
 		DrainTimeout:   *drain,
 		FlightCapacity: *flightCap,
 		Logger:         logger,

@@ -69,9 +69,9 @@ func (g *Gateway) scatterGather(w http.ResponseWriter, r *http.Request, reqs []s
 	// One shard holds the whole batch: forward the original bytes — the
 	// answer passes through untouched.
 	if len(order) == 1 {
-		res, err := g.forwardKeyed(r.Context(), order[0].key, http.MethodPost, "/v1/license", rawBody, r.Header, "")
+		res, err := g.forwardKeyed(r.Context(), order[0].key, http.MethodPost, "/v1/license", rawBody, r.Header)
 		if err != nil {
-			writeError(w, http.StatusBadGateway, "gateway: %v", err)
+			serve.WriteError(w, http.StatusBadGateway, "gateway: %v", err)
 			return
 		}
 		writeProxyResult(w, res)
@@ -92,7 +92,7 @@ func (g *Gateway) scatterGather(w http.ResponseWriter, r *http.Request, reqs []s
 
 	for _, sh := range order {
 		if sh.err != nil {
-			writeError(w, http.StatusBadGateway, "gateway: batch shard failed: %v", sh.err)
+			serve.WriteError(w, http.StatusBadGateway, "gateway: batch shard failed: %v", sh.err)
 			return
 		}
 		if sh.res.status != http.StatusOK {
@@ -119,7 +119,7 @@ func (g *Gateway) scatterGather(w http.ResponseWriter, r *http.Request, reqs []s
 		body = append(body, it...)
 	}
 	body = append(body, ']', '}', '\n')
-	writeRawJSON(w, http.StatusOK, body)
+	serve.WriteRawJSON(w, http.StatusOK, body)
 }
 
 // fetchShard forwards one shard's sub-batch to its owner and splits the
@@ -130,7 +130,7 @@ func (g *Gateway) fetchShard(ctx context.Context, sh *batchShard, inbound http.H
 		sh.err = err
 		return
 	}
-	sh.res, sh.err = g.forwardKeyed(ctx, sh.key, http.MethodPost, "/v1/license", body, inbound, "")
+	sh.res, sh.err = g.forwardKeyed(ctx, sh.key, http.MethodPost, "/v1/license", body, inbound)
 	if sh.err != nil || sh.res.status != http.StatusOK {
 		return
 	}

@@ -1,9 +1,8 @@
 // End-to-end cluster suites on the in-process harness. All of these run
 // under -race in CI: the herd test races 64 goroutines onto one cold
-// key, the batch test scatter-gathers eight cold batches at once, the
-// hedge test races two replicas and the verifier, and the chaos
-// acceptance test drives a seeded 1000-request mix through three faulted
-// backends.
+// key, the batch test scatter-gathers eight cold batches at once, and
+// the chaos acceptance test drives a seeded 1000-request mix through
+// three faulted backends.
 package gateway
 
 import (
@@ -20,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -39,7 +37,7 @@ func decisionKeyOf(t *testing.T, req serve.LicenseRequest) string {
 // lands on the same backend, the second fetch is that backend's cache
 // hit, and the key population spreads over more than one member.
 func TestGatewayRoutesStably(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{NoHedge: true}, nil)
+	tc := newTestCluster(t, 3, Config{}, nil)
 	owners := map[string]bool{}
 	for i := 0; i < 20; i++ {
 		target := licenseTarget(i)
@@ -71,7 +69,7 @@ func TestGatewayRoutesStably(t *testing.T) {
 // unkeyed read (the catalog) goes to exactly one backend, and repeats
 // go to the same one, so memo warming stays concentrated.
 func TestGatewayProxyByURIIsDeterministic(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{NoHedge: true}, nil)
+	tc := newTestCluster(t, 3, Config{}, nil)
 	var owner string
 	for i := 0; i < 4; i++ {
 		code, h, body := tc.get("/v1/catalog")
@@ -106,67 +104,14 @@ func TestGatewayProxyByURIIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestGatewayHedgeByteIdentity is the hedged-read e2e: one backend gets
-// a slow fault profile, a key owned by it is fetched through the
-// gateway, and the hedge must win with the replica's byte-identical
-// answer while the verifier confirms the determinism contract held.
-func TestGatewayHedgeByteIdentity(t *testing.T) {
-	verdicts := make(chan bool, 4)
-	tc := newTestCluster(t, 3, Config{
-		HedgeCold: 5 * time.Millisecond,
-		HedgeMin:  time.Millisecond,
-	}, nil)
-	tc.gw.afterHedgeVerify = func(match bool) { verdicts <- match }
-
-	req := licenseRequest(3)
-	key := decisionKeyOf(t, req)
-	owners := tc.gw.healthyOwners(key, 2)
-	if len(owners) != 2 {
-		t.Fatalf("key resolved %d owners, want 2", len(owners))
+// ownerOf is the member the gateway currently routes key to.
+func ownerOf(t *testing.T, g *Gateway, key string) string {
+	t.Helper()
+	b := g.ownerFor(key, nil)
+	if b == nil {
+		t.Fatalf("key %q has no owner", key)
 	}
-	primary, replica := owners[0], owners[1]
-	tc.backendFor(primary).setDelay(150 * time.Millisecond)
-
-	target := "/v1/license?" + req.Values().Encode()
-	code, h, body := tc.get(target)
-	if code != http.StatusOK {
-		t.Fatalf("%s: %d: %s", target, code, body)
-	}
-	if got := h.Get("X-Gw-Backend"); got != replica {
-		t.Fatalf("winner = %q, want the hedge replica %q", got, replica)
-	}
-
-	// The direct (un-hedged) answer from the fast replica must be the
-	// same bytes the race returned.
-	resp, err := http.Get(replica + target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := readAll(t, resp)
-	if !bytes.Equal(body, direct) {
-		t.Fatalf("hedged body differs from direct fetch:\n got: %s\nwant: %s", body, direct)
-	}
-
-	select {
-	case match := <-verdicts:
-		if !match {
-			t.Fatal("hedge verifier reported a mismatch on identical replicas")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("hedge verifier never ran")
-	}
-	if v := tc.gw.hedges.Value(); v < 1 {
-		t.Errorf("gateway_hedges_total = %d, want >= 1", v)
-	}
-	if v := tc.gw.hedgeWins.Value(); v < 1 {
-		t.Errorf("gateway_hedge_wins_total = %d, want >= 1", v)
-	}
-	if v := tc.gw.hedgeIdentical.Value(); v < 1 {
-		t.Errorf("gateway_hedge_identical_total = %d, want >= 1", v)
-	}
-	if v := tc.gw.hedgeMismatch.Value(); v != 0 {
-		t.Errorf("gateway_hedge_mismatch_total = %d, want 0", v)
-	}
+	return b.url
 }
 
 func readAll(t *testing.T, resp *http.Response) []byte {
@@ -186,10 +131,10 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 // herd member is never handed another request's answer.
 func TestGatewayHerdByteIdentical(t *testing.T) {
 	const herd = 64
-	tc := newTestCluster(t, 3, Config{NoHedge: true}, nil)
+	tc := newTestCluster(t, 3, Config{}, nil)
 
 	req := licenseRequest(5)
-	owner := tc.gw.healthyOwners(decisionKeyOf(t, req), 1)[0]
+	owner := ownerOf(t, tc.gw, decisionKeyOf(t, req))
 	target := "/v1/license?" + req.Values().Encode()
 	bodies := make([][]byte, herd)
 	codes := make([]int, herd)
@@ -250,7 +195,7 @@ func TestGatewayConcurrentColdBatches(t *testing.T) {
 		distinct = 4
 		size     = 120
 	)
-	tc := newTestCluster(t, 3, Config{NoHedge: true}, nil)
+	tc := newTestCluster(t, 3, Config{}, nil)
 	single, err := serve.New(serve.Config{Clock: gwTestClock})
 	if err != nil {
 		t.Fatal(err)
@@ -318,17 +263,17 @@ func TestGatewayConcurrentColdBatches(t *testing.T) {
 // to the next ring owner (and ONLY the drained member's keys moving),
 // flapping health held out, and rejoin after the configured streak.
 func TestGatewayDrainAndRejoin(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{NoHedge: true, RejoinAfter: 3}, nil)
+	tc := newTestCluster(t, 3, Config{RejoinAfter: 3}, nil)
 
 	// Pick a key and learn its owner, plus a key owned elsewhere.
 	reqA := licenseRequest(0)
 	keyA := decisionKeyOf(t, reqA)
-	ownerA := tc.gw.healthyOwners(keyA, 1)[0]
+	ownerA := ownerOf(t, tc.gw, keyA)
 	var reqB serve.LicenseRequest
 	var ownerB string
 	for i := 1; i < 64; i++ {
 		reqB = licenseRequest(i)
-		ownerB = tc.gw.healthyOwners(decisionKeyOf(t, reqB), 1)[0]
+		ownerB = ownerOf(t, tc.gw, decisionKeyOf(t, reqB))
 		if ownerB != ownerA {
 			break
 		}
@@ -373,7 +318,7 @@ func TestGatewayDrainAndRejoin(t *testing.T) {
 	if moved == ownerA {
 		t.Fatal("drained backend still receives new keys")
 	}
-	if want := tc.gw.healthyOwners(keyA, 1)[0]; moved != want {
+	if want := ownerOf(t, tc.gw, keyA); moved != want {
 		t.Fatalf("keyA moved to %q, want next ring owner %q", moved, want)
 	}
 	// A key owned by a healthy member does not move: draining never
@@ -421,7 +366,7 @@ func TestGatewayDrainAndRejoin(t *testing.T) {
 // member drained the gateway still routes (to the key's primary owner)
 // rather than refusing, and counts the fallback.
 func TestGatewayFailStaticWhenAllDrained(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{NoHedge: true}, nil)
+	tc := newTestCluster(t, 3, Config{}, nil)
 	for _, tb := range tc.backends {
 		tb.setHealthz("failing")
 	}
@@ -451,7 +396,7 @@ func TestGatewayFailStaticWhenAllDrained(t *testing.T) {
 // batch answered by one node, per-item errors included, in request
 // order.
 func TestGatewayScatterGatherByteIdentity(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{NoHedge: true}, nil)
+	tc := newTestCluster(t, 3, Config{}, nil)
 	single, err := serve.New(serve.Config{Clock: gwTestClock})
 	if err != nil {
 		t.Fatal(err)
@@ -514,7 +459,7 @@ func TestGatewayScatterGatherByteIdentity(t *testing.T) {
 // member takes over, and shrinking it moves only the departed member's
 // keys.
 func TestGatewayMembershipReload(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{NoHedge: true}, nil)
+	tc := newTestCluster(t, 3, Config{}, nil)
 	all := tc.gw.Members()
 	dir := t.TempDir()
 	memFile := filepath.Join(dir, "cluster.txt")
@@ -533,7 +478,7 @@ func TestGatewayMembershipReload(t *testing.T) {
 	// Start a second gateway on two members, file-driven.
 	base := time.Unix(900000000, 0)
 	writeMembers(all[:2], base)
-	gw2, err := New(Config{Backends: nil, MembershipFile: memFile, NoHedge: true})
+	gw2, err := New(Config{Backends: nil, MembershipFile: memFile})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,12 +488,12 @@ func TestGatewayMembershipReload(t *testing.T) {
 	}
 
 	const keys = 200
-	ownerOf := func(g *Gateway, i int) string {
-		return g.healthyOwners(decisionKeyOf(t, licenseRequest(i)), 1)[0]
+	keyOwner := func(g *Gateway, i int) string {
+		return ownerOf(t, g, decisionKeyOf(t, licenseRequest(i)))
 	}
 	before := make([]string, keys)
 	for i := range before {
-		before[i] = ownerOf(gw2, i)
+		before[i] = keyOwner(gw2, i)
 	}
 
 	// Grow to three members: keys either stay or move to the newcomer.
@@ -559,7 +504,7 @@ func TestGatewayMembershipReload(t *testing.T) {
 	}
 	tookOver := 0
 	for i := range before {
-		after := ownerOf(gw2, i)
+		after := keyOwner(gw2, i)
 		if after == before[i] {
 			continue
 		}
@@ -575,7 +520,7 @@ func TestGatewayMembershipReload(t *testing.T) {
 	// Shrink by dropping the first member: only its keys move.
 	grown := make([]string, keys)
 	for i := range grown {
-		grown[i] = ownerOf(gw2, i)
+		grown[i] = keyOwner(gw2, i)
 	}
 	writeMembers(all[1:], base.Add(4*time.Second))
 	gw2.reloadMembership()
@@ -583,7 +528,7 @@ func TestGatewayMembershipReload(t *testing.T) {
 		t.Fatalf("members after shrink = %v, want 2", got)
 	}
 	for i := range grown {
-		after := ownerOf(gw2, i)
+		after := keyOwner(gw2, i)
 		if grown[i] == all[0] {
 			if after == all[0] {
 				t.Fatalf("key %d still owned by departed member", i)
@@ -603,53 +548,6 @@ func TestGatewayMembershipReload(t *testing.T) {
 	}
 }
 
-// TestVerifyHedgeMismatchIsRecorded pins what a determinism violation
-// does: the mismatch counter moves and a capture pins in the flight
-// recorder — and an identical pair does neither.
-func TestVerifyHedgeMismatchIsRecorded(t *testing.T) {
-	tc := newTestCluster(t, 2, Config{}, nil)
-	g := tc.gw
-	verdicts := make(chan bool, 2)
-	g.afterHedgeVerify = func(match bool) { verdicts <- match }
-
-	ok := func(body, from string) hedgeAnswer {
-		return hedgeAnswer{res: &proxyResult{status: 200, body: []byte(body), backend: from}, from: from}
-	}
-	g.verifyHedge("k1", ok(`{"decision":1}`, "http://a"), ok(`{"decision":1}`, "http://b"))
-	if m := <-verdicts; !m {
-		t.Fatal("identical bodies reported as mismatch")
-	}
-	g.verifyHedge("k2", ok(`{"decision":1}`, "http://a"), ok(`{"decision":2}`, "http://b"))
-	if m := <-verdicts; m {
-		t.Fatal("differing bodies reported as match")
-	}
-	if v := g.hedgeIdentical.Value(); v != 1 {
-		t.Errorf("identical counter = %d, want 1", v)
-	}
-	if v := g.hedgeMismatch.Value(); v != 1 {
-		t.Errorf("mismatch counter = %d, want 1", v)
-	}
-	caps, pins := g.flightrec.Snapshot()
-	all := append([]obs.Capture(nil), caps...)
-	for _, pg := range pins {
-		all = append(all, pg.Captures...)
-	}
-	found := false
-	for _, c := range all {
-		for _, a := range c.Anomalies {
-			if strings.HasPrefix(a, "hedge:mismatch") && c.Key == "k2" {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Error("mismatch capture not recorded in the flight recorder")
-	}
-	if len(pins) == 0 {
-		t.Error("mismatch capture was not pinned")
-	}
-}
-
 // TestGatewayChaosClusterAcceptance is the PR's acceptance gate: three
 // backends under the chaos fault preset (30% injected errors, 20%
 // latency, 10% poisoned caches), a seeded 1000-request mix of singles
@@ -658,10 +556,11 @@ func TestVerifyHedgeMismatchIsRecorded(t *testing.T) {
 //
 //   - every 200 body (single and batch) is byte-identical to an
 //     unfaulted single node answering the same request,
-//   - each cold key was computed exactly once cluster-wide — the sum of
+//   - each cold key was computed exactly once cluster-wide: the sum of
 //     the backends' decision-cache misses and of their decision-cache
-//     sizes both equal the distinct-key count, and
-//   - gateway_hedge_mismatch_total is zero.
+//     sizes both equal the distinct-key count.
+//
+// It runs the gateway's default Config apart from Attempts.
 func TestGatewayChaosClusterAcceptance(t *testing.T) {
 	const (
 		mixSeed     = 7
@@ -669,8 +568,7 @@ func TestGatewayChaosClusterAcceptance(t *testing.T) {
 		distinct    = 50
 	)
 	tc := newTestCluster(t, 3, Config{
-		NoHedge:  true, // hedging would double-fill cold keys; its contract has its own suite
-		Attempts: 6,    // ride out 0.3^6 injected-error streaks
+		Attempts: 6, // ride out 0.3^6 injected-error streaks
 		Sleep:    func(time.Duration) {},
 	}, func(t *testing.T, i int) *serve.Server {
 		s, err := serve.New(serve.Config{
@@ -733,10 +631,9 @@ func TestGatewayChaosClusterAcceptance(t *testing.T) {
 	for n := 0; n < mixRequests; n++ {
 		if rng.Intn(10) < 3 {
 			// A batch of 3..12 distinct keys, compared whole against the
-			// reference node. Distinct because a key repeated inside one
-			// cold batch misses, and fills, once per occurrence — a
-			// backend-local edge that would blur the cluster-wide
-			// one-fill-per-cold-key count this test pins.
+			// reference node. Distinct because the decision cache counts
+			// a miss for every occurrence of a cold key in a batch, which
+			// would blur the one-miss-per-cold-key count this test pins.
 			size := 3 + rng.Intn(10)
 			perm := rng.Perm(distinct)[:size]
 			reqs := make([]serve.LicenseRequest, size)
@@ -817,9 +714,6 @@ func TestGatewayChaosClusterAcceptance(t *testing.T) {
 	}
 	if totalCached != distinct {
 		t.Errorf("cluster-wide cached decisions = %d, want %d", totalCached, distinct)
-	}
-	if v := tc.gw.hedgeMismatch.Value(); v != 0 {
-		t.Errorf("gateway_hedge_mismatch_total = %d, want 0", v)
 	}
 	if v := tc.gw.noHealthy.Value(); v != 0 {
 		t.Errorf("fail-static fallback fired %d times with all backends up", v)

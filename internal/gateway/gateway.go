@@ -3,34 +3,29 @@
 // keys — the same keys the backends' LRU and WAL already agree on —
 // across N hpcexportd replicas.
 //
-//	GET/POST /v1/license  keyed routing, hedged reads;
+//	GET/POST /v1/license  keyed routing to the key's one owner;
 //	                      batches scatter-gather across owner shards
 //	GET  /v1/healthz      aggregated cluster health (gateway + every backend)
 //	GET  /metrics         the gateway's own Prometheus exposition
 //	GET  /v1/metrics      the same registry as a JSON snapshot
-//	GET  /v1/flightrec    the gateway's flight recorder (hedge mismatches pin)
+//	GET  /v1/flightrec    the gateway's flight recorder (5xx answers pin)
 //	GET  /v1/watch        501: streams don't merge; connect to a backend
 //	anything else         proxied to the URI-hash owner (deterministic warming)
 //
-// The determinism contract is what makes the interesting parts safe:
-// because every replica answers a decision key with byte-identical
-// bytes, the gateway may race a second replica after a latency-derived
-// hedge delay and take whichever answers first. Both answers arriving is
-// not wasted work — it is a free audit: the bodies are compared, and a
-// difference increments gateway_hedge_mismatch_total and pins a flight-
-// recorder capture. A mismatch is recorded, never masked, because it
-// means a replica violated the contract the whole design rests on.
+// Every forward goes to one owner at a time, on the caller's context
+// bounded by ForwardTimeout, so a client that gives up stops the backend
+// work too. The determinism contract is what makes routing safe: every
+// replica answers a decision key with byte-identical bytes, so failing a
+// key over to the next ring owner, or reassembling a batch from several
+// owners' answers, changes nothing the client can see.
 package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,18 +41,10 @@ const (
 	DefaultRejoinAfter    = 3
 	DefaultAttempts       = 4
 	DefaultRetryBackoff   = 2 * time.Millisecond
-	DefaultHedgeQuantile  = 0.95
-	DefaultHedgeCold      = 10 * time.Millisecond
-	DefaultHedgeMin       = time.Millisecond
 	DefaultForwardTimeout = 10 * time.Second
 	DefaultDrainTimeout   = 5 * time.Second
 	DefaultMaxBatch       = 256
 )
-
-// hedgeMinSamples is how many latency observations a backend needs
-// before its histogram quantile is trusted for the hedge delay; below
-// it the configured cold delay applies.
-const hedgeMinSamples = 32
 
 // maxBodyBytes bounds request bodies the gateway will buffer, matching
 // the backends' own limit.
@@ -101,21 +88,13 @@ type Config struct {
 	Attempts     int
 	RetryBackoff time.Duration
 
-	// HedgeQuantile picks the hedge delay from the primary owner's
-	// latency histogram (HedgeCold until enough samples accumulate);
-	// HedgeMin floors it. NoHedge disables hedged reads entirely.
-	HedgeQuantile float64
-	HedgeCold     time.Duration
-	HedgeMin      time.Duration
-	NoHedge       bool
-
 	// MaxBatch bounds the batch size the gateway will scatter-gather;
 	// larger batches are forwarded whole so the owning backend renders
 	// its canonical rejection.
 	MaxBatch int
 
-	// ForwardTimeout bounds one whole keyed fetch (all attempts and the
-	// hedge race); DrainTimeout bounds graceful shutdown.
+	// ForwardTimeout bounds one whole forward (all attempts), on top of
+	// the caller's own deadline; DrainTimeout bounds graceful shutdown.
 	ForwardTimeout time.Duration
 	DrainTimeout   time.Duration
 
@@ -123,8 +102,7 @@ type Config struct {
 	// obs.DefaultRecorderCapacity, negative disables the recorder.
 	FlightCapacity int
 
-	// Logger receives membership, drain, and mismatch events. Nil
-	// discards them.
+	// Logger receives membership and drain events; nil discards them.
 	Logger *slog.Logger
 
 	// Clock supplies the time base for uptime and latency accounting;
@@ -165,25 +143,15 @@ type Gateway struct {
 
 	requests atomic.Uint64
 
-	// loopWG joins the prober goroutine; verifyWG joins hedge fetch and
-	// verification goroutines. Close waits on both.
-	loopWG   sync.WaitGroup
-	verifyWG sync.WaitGroup
+	// loopWG joins the prober goroutine; Close waits on it.
+	loopWG sync.WaitGroup
 
-	requestsC      *obs.Counter
-	hedges         *obs.Counter
-	hedgeWins      *obs.Counter
-	hedgeIdentical *obs.Counter
-	hedgeMismatch  *obs.Counter
-	retries        *obs.Counter
-	noHealthy      *obs.Counter
-	reloads        *obs.Counter
-	batches        *obs.Counter
-	batchFanout    *obs.Counter
-
-	// afterHedgeVerify is a test hook invoked after every hedge
-	// verification with whether the bodies matched; nil outside tests.
-	afterHedgeVerify func(match bool)
+	requestsC   *obs.Counter
+	retries     *obs.Counter
+	noHealthy   *obs.Counter
+	reloads     *obs.Counter
+	batches     *obs.Counter
+	batchFanout *obs.Counter
 }
 
 // New builds a Gateway from the config, applying defaults to zero
@@ -222,15 +190,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.RetryBackoff == 0 {
 		cfg.RetryBackoff = DefaultRetryBackoff
-	}
-	if cfg.HedgeQuantile == 0 {
-		cfg.HedgeQuantile = DefaultHedgeQuantile
-	}
-	if cfg.HedgeCold == 0 {
-		cfg.HedgeCold = DefaultHedgeCold
-	}
-	if cfg.HedgeMin == 0 {
-		cfg.HedgeMin = DefaultHedgeMin
 	}
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = DefaultMaxBatch
@@ -279,10 +238,6 @@ func New(cfg Config) (*Gateway, error) {
 		g.flightrec = obs.NewRecorder(cfg.FlightCapacity)
 	}
 	g.requestsC = g.reg.Counter("gateway_requests_total", "requests admitted through the gateway")
-	g.hedges = g.reg.Counter("gateway_hedges_total", "hedged second fetches launched")
-	g.hedgeWins = g.reg.Counter("gateway_hedge_wins_total", "hedged fetches that answered before the primary")
-	g.hedgeIdentical = g.reg.Counter("gateway_hedge_identical_total", "hedge races where both replicas answered byte-identically")
-	g.hedgeMismatch = g.reg.Counter("gateway_hedge_mismatch_total", "hedge races where the replicas' bodies differed (determinism violation)")
 	g.retries = g.reg.Counter("gateway_retries_total", "forwarding retries (transport failover and retryable statuses)")
 	g.noHealthy = g.reg.Counter("gateway_no_healthy_fallback_total", "keyed routes that fell back to a drained member because none were healthy")
 	g.reloads = g.reg.Counter("gateway_membership_reloads_total", "membership changes applied (including the initial set)")
@@ -347,11 +302,10 @@ func (g *Gateway) Start(ctx context.Context) {
 	}()
 }
 
-// Close joins every goroutine the gateway owns: the prober (after its
-// context is cancelled) and in-flight hedge fetches and verifiers.
+// Close joins the prober goroutine, after its context is cancelled.
+// Forwards run on their requests' goroutines and need no joining.
 func (g *Gateway) Close() {
 	g.loopWG.Wait()
-	g.verifyWG.Wait()
 }
 
 // routes builds the endpoint mux.
@@ -400,7 +354,9 @@ func (g *Gateway) middleware(next http.Handler) http.Handler {
 		next.ServeHTTP(sw, r)
 		durNs := g.clock().Sub(begin).Nanoseconds()
 		var anomalies []string
-		if sw.code >= http.StatusInternalServerError {
+		// A 5xx written after the client hung up reached nobody and
+		// reports the hang-up, not a fault: it is recorded, not pinned.
+		if sw.code >= http.StatusInternalServerError && r.Context().Err() == nil {
 			anomalies = []string{"gateway:5xx"}
 		}
 		g.flightrec.Record(cs.Finish(sw.code, uint64(durNs), "", false, anomalies))
@@ -464,34 +420,3 @@ func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false 
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
-
-// ---- response helpers ----------------------------------------------------
-
-var headerJSON = []string{"application/json"}
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
-		return
-	}
-	b = append(b, '\n')
-	writeRawJSON(w, code, b)
-}
-
-func writeRawJSON(w http.ResponseWriter, code int, body []byte) {
-	h := w.Header()
-	h["Content-Type"] = headerJSON
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(code)
-	_, _ = w.Write(body)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...interface{}) {
-	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// errorResponse mirrors the backends' error body shape.
-type errorResponse struct {
-	Error string `json:"error"`
-}

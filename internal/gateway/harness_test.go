@@ -1,6 +1,6 @@
 // The in-process cluster harness: K real hpcexportd servers, each
 // wrapped in an instrumented httptest shell, fronted by one Gateway —
-// all in one process, so the e2e suites (hedging, herds, drains, chaos)
+// all in one process, so the e2e suites (herds, batches, drains, chaos)
 // run under -race with no sockets beyond the loopback and no sleeping
 // prober (tests step probeOnce deterministically; Start is never
 // called).
@@ -25,10 +25,9 @@ import (
 func gwTestClock() time.Time { return time.Unix(800000000, 0) }
 
 // testBackend is one cluster member: a real serve.Server behind a shell
-// that counts per-path arrivals and injects the per-backend fault
-// profile the harness owns — an added /v1/license delay and a /v1/healthz
-// override (so drain tests flip a backend's self-report without the
-// sticky degradation a real fault plan would leave behind).
+// that counts per-path arrivals and can override /v1/healthz (so drain
+// tests flip a backend's self-report without the sticky degradation a
+// real fault plan would leave behind).
 type testBackend struct {
 	srv *serve.Server
 	ts  *httptest.Server
@@ -36,23 +35,19 @@ type testBackend struct {
 
 	mu      sync.Mutex
 	hits    map[string]int
-	delay   time.Duration // extra wall-clock latency on /v1/license
-	healthz string        // non-empty: override the healthz status
+	healthz string // non-empty: override the healthz status
 }
 
 func (tb *testBackend) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tb.mu.Lock()
 		tb.hits[r.URL.Path]++
-		delay, hz := tb.delay, tb.healthz
+		hz := tb.healthz
 		tb.mu.Unlock()
 		if r.URL.Path == "/v1/healthz" && hz != "" {
 			w.Header().Set("Content-Type", "application/json")
 			_, _ = fmt.Fprintf(w, "{\"status\":%q}\n", hz)
 			return
-		}
-		if r.URL.Path == "/v1/license" && delay > 0 {
-			time.Sleep(delay)
 		}
 		tb.srv.Handler().ServeHTTP(w, r)
 	})
@@ -62,12 +57,6 @@ func (tb *testBackend) pathHits(path string) int {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	return tb.hits[path]
-}
-
-func (tb *testBackend) setDelay(d time.Duration) {
-	tb.mu.Lock()
-	tb.delay = d
-	tb.mu.Unlock()
 }
 
 func (tb *testBackend) setHealthz(status string) {

@@ -276,25 +276,21 @@ type BackendHealth struct {
 // ("ok" all members healthy, "degraded" some drained, "failing" none
 // healthy) plus per-member detail in member order.
 type HealthResponse struct {
-	Status          string          `json:"status"`
-	UptimeSeconds   float64         `json:"uptimeSeconds"`
-	Requests        uint64          `json:"requests"`
-	Members         int             `json:"members"`
-	Healthy         int             `json:"healthy"`
-	Hedges          uint64          `json:"hedges"`
-	HedgeMismatches uint64          `json:"hedgeMismatches"`
-	Backends        []BackendHealth `json:"backends"`
+	Status        string          `json:"status"`
+	UptimeSeconds float64         `json:"uptimeSeconds"`
+	Requests      uint64          `json:"requests"`
+	Members       int             `json:"members"`
+	Healthy       int             `json:"healthy"`
+	Backends      []BackendHealth `json:"backends"`
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	list := g.backendList()
 	resp := HealthResponse{
-		UptimeSeconds:   g.clock().Sub(g.start).Seconds(),
-		Requests:        g.requests.Load(),
-		Members:         len(list),
-		Hedges:          g.hedges.Value(),
-		HedgeMismatches: g.hedgeMismatch.Value(),
-		Backends:        make([]BackendHealth, 0, len(list)),
+		UptimeSeconds: g.clock().Sub(g.start).Seconds(),
+		Requests:      g.requests.Load(),
+		Members:       len(list),
+		Backends:      make([]BackendHealth, 0, len(list)),
 	}
 	for _, b := range list {
 		if b.healthy() {
@@ -319,5 +315,5 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	default:
 		resp.Status = "failing"
 	}
-	writeJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, resp)
 }

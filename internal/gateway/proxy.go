@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -28,6 +29,9 @@ type proxyResult struct {
 	body    []byte
 	backend string
 }
+
+// headerJSON is the Content-Type of forwarded request bodies.
+var headerJSON = []string{"application/json"}
 
 // forwardHeaders are the backend headers a proxied response keeps. The
 // gateway adds X-Gw-Backend so tests and operators can see routing.
@@ -112,26 +116,15 @@ func (g *Gateway) ownerFor(key string, excluded map[string]bool) *backend {
 		b := g.backends[m]
 		return b != nil && b.healthy()
 	}
-	owners := g.ring.owners(key, 1, alive)
-	if len(owners) == 0 {
-		owners = g.ring.owners(key, 1, func(m string) bool { return !excluded[m] })
-		if len(owners) == 0 {
+	owner, ok := g.ring.owner(key, alive)
+	if !ok {
+		owner, ok = g.ring.owner(key, func(m string) bool { return !excluded[m] })
+		if !ok {
 			return nil
 		}
 		g.noHealthy.Inc()
 	}
-	return g.backends[owners[0]]
-}
-
-// healthyOwners returns up to n distinct healthy owners for key — the
-// primary and the hedge replica.
-func (g *Gateway) healthyOwners(key string, n int) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.ring.owners(key, n, func(m string) bool {
-		b := g.backends[m]
-		return b != nil && b.healthy()
-	})
+	return g.backends[owner]
 }
 
 // forwardKeyed forwards one request to its key's owner with bounded
@@ -140,13 +133,14 @@ func (g *Gateway) healthyOwners(key string, n int) []string {
 // the next ring owner immediately; a retryable HTTP status means the
 // backend is alive but refusing (injected fault, overload), so the SAME
 // owner is retried after a pause — moving the key would hand a second
-// backend a cold fill the first already owns. exclude pre-excludes one
-// member (the hedge path excludes the primary).
-func (g *Gateway) forwardKeyed(ctx context.Context, key, method, uri string, body []byte, inbound http.Header, exclude string) (*proxyResult, error) {
+// backend a cold fill the first already owns. Every attempt runs on the
+// caller's context under one ForwardTimeout deadline, so a client that
+// hangs up cancels the backend exchange instead of leaving it to finish
+// for nobody.
+func (g *Gateway) forwardKeyed(ctx context.Context, key, method, uri string, body []byte, inbound http.Header) (*proxyResult, error) {
+	ctx, cancel := context.WithTimeout(ctx, g.cfg.ForwardTimeout)
+	defer cancel()
 	var excluded map[string]bool
-	if exclude != "" {
-		excluded = map[string]bool{exclude: true}
-	}
 	var last *proxyResult
 	var lastErr error
 	for attempt := 0; attempt < g.cfg.Attempts; attempt++ {
@@ -190,13 +184,13 @@ func (g *Gateway) forwardKeyed(ctx context.Context, key, method, uri string, bod
 
 // ---- handlers ------------------------------------------------------------
 
-// serveKeyed answers one canonical-keyed license request with a hedged
-// fetch from the key's owner.
+// serveKeyed answers one canonical-keyed license request from the key's
+// owner.
 func (g *Gateway) serveKeyed(w http.ResponseWriter, r *http.Request, key, method, uri string, body []byte) {
-	requestCapture(r).SetKey([]byte(key))
-	res, err := g.hedgedFetch(r.Context(), key, method, uri, body, r.Header)
+	obs.CaptureStateFrom(r.Context()).SetKey([]byte(key))
+	res, err := g.forwardKeyed(r.Context(), key, method, uri, body, r.Header)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "gateway: %v", err)
+		serve.WriteError(w, http.StatusBadGateway, "gateway: %v", err)
 		return
 	}
 	writeProxyResult(w, res)
@@ -220,7 +214,7 @@ func (g *Gateway) handleLicenseGet(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleLicensePost(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body too large or unreadable")
+		serve.WriteError(w, http.StatusRequestEntityTooLarge, "request body too large or unreadable")
 		return
 	}
 	single, batch, isBatch, ok := serve.DecodeLicenseBody(body)
@@ -251,9 +245,9 @@ func (g *Gateway) handleLicensePost(w http.ResponseWriter, r *http.Request) {
 // backend's memo instead of all of them.
 func (g *Gateway) proxyByURI(w http.ResponseWriter, r *http.Request, body []byte) {
 	uri := r.URL.RequestURI()
-	res, err := g.forwardKeyed(r.Context(), uri, r.Method, uri, body, r.Header, "")
+	res, err := g.forwardKeyed(r.Context(), uri, r.Method, uri, body, r.Header)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "gateway: %v", err)
+		serve.WriteError(w, http.StatusBadGateway, "gateway: %v", err)
 		return
 	}
 	writeProxyResult(w, res)
@@ -264,7 +258,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	if r.Body != nil {
 		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body too large or unreadable")
+			serve.WriteError(w, http.StatusRequestEntityTooLarge, "request body too large or unreadable")
 			return
 		}
 		body = b
@@ -273,14 +267,14 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleWatch(w http.ResponseWriter, r *http.Request) {
-	writeError(w, http.StatusNotImplemented,
+	serve.WriteError(w, http.StatusNotImplemented,
 		"the gateway does not merge event streams; connect to a backend's /v1/watch directly")
 }
 
 func (g *Gateway) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	if err := g.reg.WriteProm(&buf); err != nil {
-		writeError(w, http.StatusInternalServerError, "metrics rendering failed: %v", err)
+		serve.WriteError(w, http.StatusInternalServerError, "metrics rendering failed: %v", err)
 		return
 	}
 	h := w.Header()
@@ -291,14 +285,14 @@ func (g *Gateway) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.reg.Snapshot())
+	serve.WriteJSON(w, http.StatusOK, g.reg.Snapshot())
 }
 
 func (g *Gateway) handleFlightRec(w http.ResponseWriter, r *http.Request) {
 	if g.flightrec == nil {
-		writeError(w, http.StatusNotFound, "flight recorder disabled")
+		serve.WriteError(w, http.StatusNotFound, "flight recorder disabled")
 		return
 	}
 	caps, pins := g.flightrec.Snapshot()
-	writeJSON(w, http.StatusOK, serve.FlightRecResponse{Count: len(caps), Captures: caps, Pins: pins})
+	serve.WriteJSON(w, http.StatusOK, serve.FlightRecResponse{Count: len(caps), Captures: caps, Pins: pins})
 }

@@ -107,34 +107,20 @@ func buildRing(members []string, vnodes int) *ring {
 	return r
 }
 
-// owners returns up to n distinct members for key, walking clockwise
-// from the key's hash and skipping members alive rejects. A nil alive
-// accepts everyone. The first entry is the key's primary owner; the
-// second is the hedge replica, and so on.
-func (r *ring) owners(key string, n int, alive func(string) bool) []string {
-	if r == nil || len(r.points) == 0 || n <= 0 {
-		return nil
+// owner returns key's owner: the first member clockwise from the key's
+// hash that alive accepts (nil accepts everyone). ok is false when the
+// ring is empty or alive rejects every member.
+func (r *ring) owner(key string, alive func(string) bool) (string, bool) {
+	if r == nil || len(r.points) == 0 {
+		return "", false
 	}
 	h := hashString(key)
 	idx := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	for step := 0; step < len(r.points) && len(out) < n; step++ {
+	for step := 0; step < len(r.points); step++ {
 		p := &r.points[(idx+step)%len(r.points)]
-		if containsString(out, p.owner) {
-			continue
-		}
 		if alive == nil || alive(p.owner) {
-			out = append(out, p.owner)
+			return p.owner, true
 		}
 	}
-	return out
-}
-
-func containsString(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
+	return "", false
 }

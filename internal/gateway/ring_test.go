@@ -48,11 +48,11 @@ func TestRingBalance(t *testing.T) {
 				r := buildRing(members, defaultVNodes)
 				counts := make(map[string]int, size)
 				for _, key := range ringKeys(seed, keysPerCase) {
-					owners := r.owners(key, 1, nil)
-					if len(owners) != 1 {
-						t.Fatalf("seed %d: key %q resolved %d owners", seed, key, len(owners))
+					owner, ok := r.owner(key, nil)
+					if !ok {
+						t.Fatalf("seed %d: key %q resolved no owner", seed, key)
 					}
-					counts[owners[0]]++
+					counts[owner]++
 				}
 				fair := float64(keysPerCase) / float64(size)
 				for _, m := range members {
@@ -86,8 +86,8 @@ func TestRingRemovalMinimalDisruption(t *testing.T) {
 		after := buildRing(survivors, defaultVNodes)
 		moved := 0
 		for _, key := range ringKeys(seed, keysPerCase) {
-			ob := before.owners(key, 1, nil)[0]
-			oa := after.owners(key, 1, nil)[0]
+			ob, _ := before.owner(key, nil)
+			oa, _ := after.owner(key, nil)
 			if ob == removed {
 				moved++
 				if oa == removed {
@@ -111,7 +111,7 @@ func TestRingRemovalMinimalDisruption(t *testing.T) {
 // TestRingDeterministic pins run-to-run identity: the ring is a pure
 // function of the member set. Building from a differently-ordered,
 // duplicated member list yields byte-identical points and identical
-// owners for every key.
+// owners for every key, with and without a member skipped.
 func TestRingDeterministic(t *testing.T) {
 	members := ringMembers(7, 6)
 	shuffled := []string{members[3], members[0], members[5], members[3], members[1], members[4], members[2], members[0]}
@@ -126,71 +126,77 @@ func TestRingDeterministic(t *testing.T) {
 		}
 	}
 	for _, key := range ringKeys(7, 1000) {
-		oa := a.owners(key, 2, nil)
-		ob := b.owners(key, 2, nil)
-		if len(oa) != len(ob) || oa[0] != ob[0] || oa[1] != ob[1] {
-			t.Fatalf("key %q: owners %v vs %v", key, oa, ob)
+		oa, _ := a.owner(key, nil)
+		ob, _ := b.owner(key, nil)
+		if oa != ob {
+			t.Fatalf("key %q: owner %s vs %s", key, oa, ob)
+		}
+		skip := func(m string) bool { return m != oa }
+		na, _ := a.owner(key, skip)
+		nb, _ := b.owner(key, skip)
+		if na != nb || na == oa {
+			t.Fatalf("key %q: next owner %s vs %s (owner %s)", key, na, nb, oa)
 		}
 	}
 }
 
-// TestRingOwnersSkipAndDistinct pins the lookup contract: the alive
-// filter is honored, returned owners are distinct, and asking for more
-// owners than members caps at the member count.
+// TestRingOwnersSkipAndDistinct pins the lookup contract under a skip:
+// the alive filter is honoured, keys owned by a surviving member keep
+// their owner, and a skipped member's keys go to the member a ring
+// built without it would pick, so a drain routes exactly like a
+// removal and never moves keys between survivors. Skipping members one
+// at a time walks each key through distinct owners until none is left.
 func TestRingOwnersSkipAndDistinct(t *testing.T) {
 	members := ringMembers(11, 4)
 	r := buildRing(members, defaultVNodes)
 	dead := members[2]
 	alive := func(m string) bool { return m != dead }
+	without := buildRing([]string{members[0], members[1], members[3]}, defaultVNodes)
 	for _, key := range ringKeys(11, 200) {
-		owners := r.owners(key, 4, alive)
-		if len(owners) != 3 {
-			t.Fatalf("key %q: got %d owners with one member dead, want 3", key, len(owners))
+		full, _ := r.owner(key, nil)
+		got, ok := r.owner(key, alive)
+		if !ok || got == dead {
+			t.Fatalf("key %q: dead member %s returned as owner (ok=%v)", key, dead, ok)
 		}
-		seen := map[string]bool{}
-		for _, o := range owners {
-			if o == dead {
-				t.Fatalf("key %q: dead member %s returned as owner", key, dead)
-			}
-			if seen[o] {
-				t.Fatalf("key %q: duplicate owner %s", key, o)
-			}
-			seen[o] = true
+		if full != dead && got != full {
+			t.Fatalf("key %q: survivor-owned key moved %s -> %s", key, full, got)
 		}
-	}
+		if want, _ := without.owner(key, nil); got != want {
+			t.Fatalf("key %q: drained owner %s, want %s (ring without %s)", key, got, want, dead)
+		}
 
-	// Draining a member must not move keys between the survivors: the
-	// first non-dead owner in the full walk is the drained pick.
-	for _, key := range ringKeys(11, 200) {
-		full := r.owners(key, 4, nil)
-		want := full[0]
-		if want == dead {
-			want = full[1]
+		skipped := map[string]bool{}
+		for len(skipped) < len(members) {
+			o, ok := r.owner(key, func(m string) bool { return !skipped[m] })
+			if !ok {
+				t.Fatalf("key %q: no owner with %d of %d members skipped", key, len(skipped), len(members))
+			}
+			if skipped[o] {
+				t.Fatalf("key %q: skipped member %s returned as owner", key, o)
+			}
+			skipped[o] = true
 		}
-		if got := r.owners(key, 1, alive)[0]; got != want {
-			t.Fatalf("key %q: drained owner %s, want %s", key, got, want)
+		if o, ok := r.owner(key, func(m string) bool { return !skipped[m] }); ok {
+			t.Fatalf("key %q: owner %s with every member skipped", key, o)
 		}
 	}
 }
 
 // TestRingEdgeCases covers the degenerate inputs.
 func TestRingEdgeCases(t *testing.T) {
-	if got := buildRing(nil, defaultVNodes).owners("k", 1, nil); got != nil {
-		t.Fatalf("empty ring returned owners %v", got)
+	if got, ok := buildRing(nil, defaultVNodes).owner("k", nil); ok || got != "" {
+		t.Fatalf("empty ring returned owner %q", got)
 	}
 	var nilRing *ring
-	if got := nilRing.owners("k", 1, nil); got != nil {
-		t.Fatalf("nil ring returned owners %v", got)
+	if got, ok := nilRing.owner("k", nil); ok || got != "" {
+		t.Fatalf("nil ring returned owner %q", got)
 	}
 	one := buildRing([]string{"http://solo:1"}, defaultVNodes)
-	if got := one.owners("k", 3, nil); len(got) != 1 || got[0] != "http://solo:1" {
-		t.Fatalf("single-member ring returned %v", got)
+	if got, ok := one.owner("k", nil); !ok || got != "http://solo:1" {
+		t.Fatalf("single-member ring returned %q, %v", got, ok)
 	}
-	if got := one.owners("k", 0, nil); got != nil {
-		t.Fatalf("n=0 returned %v", got)
-	}
-	if got := one.owners("k", 1, func(string) bool { return false }); len(got) != 0 {
-		t.Fatalf("all-dead ring returned %v", got)
+	if got, ok := one.owner("k", func(string) bool { return false }); ok || got != "" {
+		t.Fatalf("all-dead ring returned %q", got)
 	}
 }
 

@@ -173,3 +173,45 @@ func TestLicenseBatchParallelMatchesInline(t *testing.T) {
 		t.Error("warm batch body differs from cold batch body")
 	}
 }
+
+// TestLicenseBatchRepeatedColdKeyFillsOnce pins that a key repeated
+// inside one cold batch is filled once: one evaluation logged to the
+// decision log and one cache entry, with every occurrence answered by
+// the bytes a single request for the key gets.
+func TestLicenseBatchRepeatedColdKeyFillsOnce(t *testing.T) {
+	s, l := newWALServer(t, t.TempDir(), nil)
+	defer func() { _ = l.Close() }()
+	const item = `{"ctp":2000,"destination":"japan"}`
+	rec := do(t, s.Handler(), "POST", "/v1/license", `{"requests":[`+item+`,`+item+`,`+item+`]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch status = %d: %s", rec.Code, rec.Body)
+	}
+	if got := l.Stats().Appends; got != 1 {
+		t.Errorf("decision log appends = %d, want 1", got)
+	}
+	if got := s.decisions.Len(); got != 1 {
+		t.Errorf("cached decisions = %d, want 1", got)
+	}
+
+	single := do(t, newTestServer(t).Handler(), "POST", "/v1/license", item)
+	if single.Code != http.StatusOK {
+		t.Fatalf("single status = %d: %s", single.Code, single.Body)
+	}
+	var br struct {
+		Decisions []struct {
+			Decision json.RawMessage `json:"decision"`
+		} `json:"decisions"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Decisions) != 3 {
+		t.Fatalf("answered %d items, want 3", len(br.Decisions))
+	}
+	want := bytes.TrimSuffix(single.Body.Bytes(), []byte("\n"))
+	for i, it := range br.Decisions {
+		if !bytes.Equal(it.Decision, want) {
+			t.Errorf("item %d:\n got: %s\nwant: %s", i, it.Decision, want)
+		}
+	}
+}

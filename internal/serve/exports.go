@@ -1,6 +1,7 @@
 package serve
 
-// Exported request-shape hooks for the routing gateway (internal/gateway).
+// Exported request-shape hooks and response writers for the routing
+// gateway (internal/gateway).
 //
 // The gateway routes by the same canonical decision key the LRU and WAL
 // use, so a key's owner shard is stable and
@@ -12,6 +13,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"sync"
 
 	"repro/internal/catalog"
@@ -83,4 +85,17 @@ func DecodeLicenseBody(body []byte) (single LicenseRequest, batch []LicenseReque
 		return LicenseRequest{}, pb.Requests, true, true
 	}
 	return pb.LicenseRequest, nil, false, true
+}
+
+// WriteJSON, WriteRawJSON and WriteError are the server's JSON response
+// writers, exported so the gateway's own answers carry the same headers
+// and bytes as a backend's.
+func WriteJSON(w http.ResponseWriter, code int, v interface{}) { writeJSON(w, code, v) }
+
+// WriteRawJSON writes an already-encoded JSON body; see WriteJSON.
+func WriteRawJSON(w http.ResponseWriter, code int, body []byte) { writeRawJSON(w, code, body) }
+
+// WriteError writes an ErrorResponse body; see WriteJSON.
+func WriteError(w http.ResponseWriter, code int, format string, args ...interface{}) {
+	writeError(w, code, format, args...)
 }

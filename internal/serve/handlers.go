@@ -313,9 +313,12 @@ func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, sc *scratch
 	}
 	lookup.End()
 
-	// Phase 3: fill the remaining evaluations.
+	// Phase 3: fill the remaining evaluations. A key repeated in the
+	// batch is filled once; later occurrences reuse that decision rather
+	// than evaluating, caching and logging it again.
 	if pending > 0 {
 		eval := obs.Child(ctx, "safeguards.evaluate")
+		var filled map[string]*cachedDecision
 		for i := range slots {
 			sl := &slots[i]
 			if !sl.ok || sl.dec != nil {
@@ -330,12 +333,23 @@ func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, sc *scratch
 				sl.dec = d
 				continue
 			}
-			d, err := s.fillDecision(ctx, string(sc.keys[i]), &sl.args)
+			if d := filled[string(sc.keys[i])]; d != nil {
+				sl.dec = d
+				continue
+			}
+			key := string(sc.keys[i])
+			d, err := s.fillDecision(ctx, key, &sl.args)
 			if err != nil {
 				sl.errMsg = err.Error()
 				continue
 			}
 			sl.dec = d
+			if pending > 1 {
+				if filled == nil {
+					filled = make(map[string]*cachedDecision, pending)
+				}
+				filled[key] = d
+			}
 		}
 		eval.End()
 	}
