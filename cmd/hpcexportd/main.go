@@ -100,7 +100,7 @@ func main() {
 		addr      = flag.String("addr", serve.DefaultAddr, "listen address")
 		debugAddr = flag.String("debug-addr", "", "optional pprof listener address (keep it loopback); empty disables profiling")
 		inflight  = flag.Int("inflight", serve.DefaultMaxInFlight, "maximum concurrent requests")
-		timeout   = flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request deadline")
+		timeout   = flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request deadline, counted from admission; a handler still working at it is answered 503 when it returns")
 		batch     = flag.Int("batch", serve.DefaultMaxBatch, "largest accepted license batch")
 		cache     = flag.Int("cache", serve.DefaultCacheSize, "entries per LRU cache")
 		drain     = flag.Duration("drain", serve.DefaultDrainTimeout, "shutdown drain window")

@@ -728,3 +728,64 @@ func TestGatewayChaosClusterAcceptance(t *testing.T) {
 		t.Error("chaos run recorded no forwarding retries; the fault path was not exercised")
 	}
 }
+
+// tracedOn reports whether a backend's /v1/traces holds a trace with id.
+func tracedOn(t *testing.T, tb *testBackend, id string) bool {
+	t.Helper()
+	_, body := getJSON(t, tb.url+"/v1/traces")
+	var traces serve.TracesResponse
+	if err := json.Unmarshal(body, &traces); err != nil {
+		t.Fatalf("decode %s/v1/traces: %v", tb.url, err)
+	}
+	for _, tr := range traces.Traces {
+		if tr.TraceID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// TestGatewayMintsRequestID: a request that arrives without an
+// X-Request-Id gets one at the gateway. The client sees it echoed, the
+// backend that answered traced the request under it, and the gateway's
+// flight recorder captured it under it. An ID the client sends passes
+// through unchanged.
+func TestGatewayMintsRequestID(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{}, nil)
+	code, h, body := tc.get(licenseTarget(3))
+	if code != http.StatusOK {
+		t.Fatalf("GET: %d: %s", code, body)
+	}
+	id := h.Get("X-Request-Id")
+	if !strings.HasPrefix(id, "gw-") {
+		t.Fatalf("X-Request-Id = %q, want a gateway-minted gw-N", id)
+	}
+	if !tracedOn(t, tc.backendFor(h.Get("X-Gw-Backend")), id) {
+		t.Errorf("the answering backend has no trace %q", id)
+	}
+	caps, _ := tc.gw.flightrec.Snapshot()
+	var captured bool
+	for _, c := range caps {
+		captured = captured || c.TraceID == id
+	}
+	if !captured {
+		t.Errorf("the gateway's flight recorder has no capture %q", id)
+	}
+
+	req, err := http.NewRequest("GET", tc.front.URL+licenseTarget(4), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Request-Id", "client-7")
+	resp, err := tc.front.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = readAll(t, resp)
+	if got := resp.Header.Get("X-Request-Id"); got != "client-7" {
+		t.Errorf("client-sent X-Request-Id came back as %q", got)
+	}
+	if !tracedOn(t, tc.backendFor(resp.Header.Get("X-Gw-Backend")), "client-7") {
+		t.Error("the answering backend has no trace client-7")
+	}
+}

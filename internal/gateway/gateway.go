@@ -26,6 +26,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -333,22 +334,33 @@ func selfObserved(path string) bool {
 	return false
 }
 
-// middleware counts admitted requests and records each routed request
-// into the flight recorder.
+// middleware counts admitted requests, gives each routed request an ID,
+// and records it into the flight recorder. A request that arrives
+// without an X-Request-Id gets one minted here: "gw-" and its admission
+// number. The ID is forwarded to every backend the request reaches and
+// echoed to the client, so one ID finds the request in the gateway's
+// flight recorder and in each backend's traces and logs.
 func (g *Gateway) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if selfObserved(r.URL.Path) {
 			next.ServeHTTP(w, r)
 			return
 		}
-		g.requests.Add(1)
+		seq := g.requests.Add(1)
 		g.requestsC.Inc()
+		ids := r.Header["X-Request-Id"]
+		if len(ids) == 0 || ids[0] == "" {
+			ids = []string{"gw-" + strconv.FormatUint(seq, 10)}
+			r.Header["X-Request-Id"] = ids
+		}
+		w.Header()["X-Request-Id"] = ids[:1:1]
 		if g.flightrec == nil {
 			next.ServeHTTP(w, r)
 			return
 		}
-		cs := obs.NewCaptureState(r.Method, r.URL.Path, r.Header.Get("X-Request-Id"))
-		r = r.WithContext(obs.WithCaptureState(r.Context(), cs))
+		sc := new(obs.Scope)
+		cs := sc.StartCapture(r.Method, r.URL.Path, ids[0])
+		r = r.WithContext(obs.WithScope(r.Context(), sc))
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		begin := g.clock()
 		next.ServeHTTP(sw, r)

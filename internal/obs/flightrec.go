@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"context"
-	"sync"
-)
+import "sync"
 
 // Capture is one fully-detailed request record in the flight recorder:
 // everything needed to reconstruct what a single request did without any
@@ -25,25 +22,16 @@ type Capture struct {
 	Anomalies []string `json:"anomalies,omitempty"`
 }
 
-// CaptureState is the in-flight builder for a Capture. It travels in the
-// request context so any layer (decision fill, WAL commit, fault
-// injection) can annotate the record; batch fills run on parpool workers
-// sharing one request context, so every mutation takes the mutex. All
+// CaptureState is the in-flight builder for a Capture. A Scope starts it
+// and carries it in the request context, so any layer (decision fill,
+// WAL commit, fault injection) can annotate the record; every mutation
+// takes the mutex, so goroutines sharing one request context may. All
 // methods are nil-safe: code paths that run without a recorder (direct
 // handler calls in tests, the zero-alloc benchmarks) annotate a nil
 // state and nothing happens.
 type CaptureState struct {
 	mu sync.Mutex
 	c  Capture
-}
-
-// NewCaptureState starts a capture for one request.
-func NewCaptureState(method, route, traceID string) *CaptureState {
-	cs := &CaptureState{}
-	cs.c.Method = method
-	cs.c.Route = route
-	cs.c.TraceID = traceID
-	return cs
 }
 
 // SetKey records the canonical decision key. The bytes are copied: the
@@ -108,20 +96,6 @@ func (cs *CaptureState) Finish(status int, latencyNs uint64, fault string, degra
 	c := cs.c
 	cs.mu.Unlock()
 	return c
-}
-
-type captureKey struct{}
-
-// WithCaptureState returns a context carrying cs.
-func WithCaptureState(ctx context.Context, cs *CaptureState) context.Context {
-	return context.WithValue(ctx, captureKey{}, cs)
-}
-
-// CaptureStateFrom returns the capture state carried by ctx, or nil. The
-// nil result is directly usable: every CaptureState method is nil-safe.
-func CaptureStateFrom(ctx context.Context) *CaptureState {
-	cs, _ := ctx.Value(captureKey{}).(*CaptureState)
-	return cs
 }
 
 // PinGroup is a set of captures frozen at anomaly time: the anomalous

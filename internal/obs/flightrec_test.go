@@ -150,8 +150,9 @@ func TestCaptureStateNilSafe(t *testing.T) {
 }
 
 func TestCaptureStateAnnotatesAndCopiesKey(t *testing.T) {
-	cs := NewCaptureState("GET", "/v1/license", "t-1")
-	ctx := WithCaptureState(context.Background(), cs)
+	sc := &Scope{}
+	cs := sc.StartCapture("GET", "/v1/license", "t-1")
+	ctx := WithScope(context.Background(), sc)
 	got := CaptureStateFrom(ctx)
 	if got != cs {
 		t.Fatalf("ctx round-trip lost the capture state")

@@ -61,8 +61,8 @@ type Span struct {
 
 // Tracer captures traces into a fixed-capacity ring buffer of the most
 // recent completed traces. A nil *Tracer is valid and disables tracing
-// entirely: StartRoot and StartSpan return nil spans and no clock is ever
-// read.
+// entirely: Scope.StartRoot and StartSpan return nil spans and no clock
+// is ever read.
 type Tracer struct {
 	clock func() time.Time
 
@@ -80,32 +80,6 @@ func NewTracer(capacity int, clock func() time.Time) *Tracer {
 		return nil
 	}
 	return &Tracer{clock: clock, ring: make([]Trace, capacity)}
-}
-
-// ctxKey carries the current *Span through a context.
-type ctxKey struct{}
-
-// rootBlock packs a root span and its trace state into one allocation.
-type rootBlock struct {
-	span  Span
-	state traceState
-}
-
-// StartRoot begins a new trace and its root span, returning a context
-// that carries the span for StartSpan callees. End on the root span
-// completes the trace and commits it to the ring.
-func (t *Tracer) StartRoot(ctx context.Context, traceID, name string) (context.Context, *Span) {
-	if t == nil {
-		return ctx, nil
-	}
-	rb := &rootBlock{state: traceState{id: traceID, next: 2}}
-	rb.state.spans = make([]SpanRecord, 0, 4)
-	s := &rb.span
-	s.t = t
-	s.state = &rb.state
-	s.rec = SpanRecord{ID: 1, Name: name}
-	s.start = t.clock()
-	return context.WithValue(ctx, ctxKey{}, s), s
 }
 
 // startChild begins a child of parent, or returns the inert nil span
@@ -131,11 +105,13 @@ func startChild(parent *Span, name string) *Span {
 // context carrying the child. Without a span in ctx (tracing disabled, or
 // an untraced entry point) it returns ctx and a nil — inert — span.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	s := startChild(spanFrom(ctx), name)
+	l := linkFrom(ctx)
+	s := startChild(l.span, name)
 	if s == nil {
 		return ctx, nil
 	}
-	return context.WithValue(ctx, ctxKey{}, s), s
+	l.span = s
+	return context.WithValue(ctx, ctxKey{}, &l), s
 }
 
 // Child begins a child of the span carried by ctx without deriving a new
@@ -143,12 +119,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // their own.
 func Child(ctx context.Context, name string) *Span {
 	return startChild(spanFrom(ctx), name)
-}
-
-// spanFrom extracts the current span from ctx, nil when absent.
-func spanFrom(ctx context.Context) *Span {
-	s, _ := ctx.Value(ctxKey{}).(*Span)
-	return s
 }
 
 // SetAttr annotates the span. Calling it on a nil or ended span is a

@@ -18,9 +18,17 @@ func scriptClock() func() time.Time {
 	}
 }
 
+// startRoot begins a trace as a server does: a fresh Scope, attached to
+// a background context.
+func startRoot(tr *Tracer, traceID, name string) (context.Context, *Span) {
+	sc := &Scope{}
+	root := sc.StartRoot(tr, traceID, name)
+	return WithScope(context.Background(), sc), root
+}
+
 func TestTraceNestingAndOrder(t *testing.T) {
 	tr := NewTracer(4, scriptClock())
-	ctx, root := tr.StartRoot(context.Background(), "req-1", "GET /v1/license")
+	ctx, root := startRoot(tr, "req-1", "GET /v1/license")
 	root.SetAttr("path", "/v1/license?ctp=1")
 	cctx, child := StartSpan(ctx, "cache.lookup")
 	child.SetAttr("result", "miss")
@@ -65,7 +73,7 @@ func TestTraceNestingAndOrder(t *testing.T) {
 func TestTraceRingWraps(t *testing.T) {
 	tr := NewTracer(3, scriptClock())
 	for i := 0; i < 5; i++ {
-		_, root := tr.StartRoot(context.Background(), fmt.Sprintf("req-%d", i), "op")
+		_, root := startRoot(tr, fmt.Sprintf("req-%d", i), "op")
 		root.End()
 	}
 	got := tr.Recent()
@@ -84,7 +92,7 @@ func TestTracerDisabled(t *testing.T) {
 		t.Fatal("invalid tracer configs did not disable tracing")
 	}
 	var tr *Tracer
-	ctx, root := tr.StartRoot(context.Background(), "x", "op")
+	ctx, root := startRoot(tr, "x", "op")
 	if root != nil {
 		t.Fatal("nil tracer returned a live span")
 	}
@@ -100,7 +108,7 @@ func TestTracerDisabled(t *testing.T) {
 
 func TestSpanDoubleEndAndLateChild(t *testing.T) {
 	tr := NewTracer(2, scriptClock())
-	ctx, root := tr.StartRoot(context.Background(), "a", "op")
+	ctx, root := startRoot(tr, "a", "op")
 	_, child := StartSpan(ctx, "slow")
 	root.End()
 	root.End()  // idempotent
@@ -111,5 +119,36 @@ func TestSpanDoubleEndAndLateChild(t *testing.T) {
 	got := tr.Recent()
 	if len(got) != 1 || len(got[0].Spans) != 1 {
 		t.Fatalf("trace after late child = %+v", got)
+	}
+}
+
+// TestScopeCarriesSpanAndCapture: one WithScope carries both halves of a
+// request's state, a child span context keeps the capture, and an
+// untraced scope (nil tracer) still carries its capture.
+func TestScopeCarriesSpanAndCapture(t *testing.T) {
+	tr := NewTracer(4, scriptClock())
+	sc := &Scope{}
+	root := sc.StartRoot(tr, "req-9", "GET /v1/license")
+	cs := sc.StartCapture("GET", "/v1/license", "req-9")
+	ctx := WithScope(context.Background(), sc)
+	cctx, child := StartSpan(ctx, "fill")
+	if CaptureStateFrom(cctx) != cs {
+		t.Error("a child span's context lost the capture state")
+	}
+	Child(cctx, "leaf").End()
+	child.End()
+	root.End()
+	if got := tr.Recent(); len(got) != 1 || len(got[0].Spans) != 3 || got[0].TraceID != "req-9" {
+		t.Fatalf("Recent() = %+v, want one three-span trace req-9", got)
+	}
+
+	untraced := &Scope{}
+	if s := untraced.StartRoot(nil, "x", "op"); s != nil {
+		t.Fatalf("StartRoot on a nil tracer = %v, want nil", s)
+	}
+	ucs := untraced.StartCapture("GET", "/v1/apps", "x")
+	uctx := WithScope(context.Background(), untraced)
+	if CaptureStateFrom(uctx) != ucs || Child(uctx, "leaf") != nil {
+		t.Error("an untraced scope must carry its capture and no span")
 	}
 }

@@ -54,6 +54,41 @@ func TestWarmLicenseGetZeroAllocs(t *testing.T) {
 	}
 }
 
+// fullStackAllocs is the allocation budget of one warm GET /v1/license
+// through the whole stack: the deadline context (four: the context, its
+// timer, the timer callback and the cancel func), the middleware's
+// request block, the scope's context value, the request copy carrying
+// it, the root span's record slice, the cache.lookup child span, the two
+// spans' attribute slices, and the capture's copy of the decision key.
+const fullStackAllocs = 12
+
+// TestWarmLicenseGetFullStackAllocs pins the per-request allocations of
+// the full handler — request ID, semaphore, deadline, tracing, flight
+// recording, metrics, mux and handler — on a warm GET that carries its
+// own X-Request-Id.
+func TestWarmLicenseGetFullStackAllocs(t *testing.T) {
+	s := newTestServer(t)
+	h := s.Handler()
+	req := httptest.NewRequest("GET", "/v1/license?ctp=21125&dest=india&endUse=modeling", nil)
+	req.Header.Set("X-Request-Id", "alloc-pin")
+	w := &nullResponseWriter{h: make(http.Header, 8)}
+	h.ServeHTTP(w, req)
+	if w.code != http.StatusOK {
+		t.Fatalf("warmup status = %d", w.code)
+	}
+
+	allocs := testing.AllocsPerRun(200, func() {
+		h.ServeHTTP(w, req)
+	})
+	if w.h.Get("X-Cache") != "hit" || w.h.Get("X-Request-Id") != "alloc-pin" {
+		t.Fatalf("X-Cache = %q, X-Request-Id = %q", w.h.Get("X-Cache"), w.h.Get("X-Request-Id"))
+	}
+	if allocs > fullStackAllocs {
+		t.Errorf("warm GET /v1/license through the full stack allocates %.1f objects per request, want at most %d",
+			allocs, fullStackAllocs)
+	}
+}
+
 // BenchmarkLicenseHotPath measures the handler-level warm GET: the same
 // path the allocation pin covers, reported as ns/op and allocs/op.
 func BenchmarkLicenseHotPath(b *testing.B) {

@@ -104,8 +104,24 @@ type licensePostBody struct {
 }
 
 // readBody reads the request body into the scratch buffer, enforcing
-// maxBodyBytes, without io.ReadAll's per-request growth allocations.
+// maxBodyBytes, without io.ReadAll's per-request growth allocations. The
+// body read is where a handler waits on its client, so the request
+// deadline becomes the connection's read deadline: a client that stalls
+// mid-body fails the read at the deadline instead of holding the
+// request's slot. Writers that cannot set one (a test recorder) read
+// unbounded.
+//
+// An empty body sets no deadline. net/http then starts reading ahead on
+// the connection before the handler runs, and a deadline set under that
+// read would fail it when it passed; the failure cancels the
+// connection's context, so every later request on the kept-alive
+// connection would arrive already cancelled. A body read to its end
+// leaves no deadline behind: net/http clears it as it starts that
+// read-ahead.
 func readBody(sc *scratch, w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if dl, ok := r.Context().Deadline(); ok && r.ContentLength != 0 {
+		_ = http.NewResponseController(w).SetReadDeadline(dl)
+	}
 	rd := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	buf := sc.buf[:0]
 	if cap(buf) == 0 {

@@ -41,6 +41,27 @@ func routeOf(path string) string {
 	return "other"
 }
 
+// spanNames holds each route's root-span names for GET and POST, so the
+// request path does not build "METHOD route" per request.
+var spanNames = func() map[string][2]string {
+	m := make(map[string][2]string, len(obsRoutes))
+	for _, r := range obsRoutes {
+		m[r] = [2]string{http.MethodGet + " " + r, http.MethodPost + " " + r}
+	}
+	return m
+}()
+
+// spanName is the root-span name of a request: its method and route.
+func spanName(method, route string) string {
+	switch method {
+	case http.MethodGet:
+		return spanNames[route][0]
+	case http.MethodPost:
+		return spanNames[route][1]
+	}
+	return method + " " + route
+}
+
 // selfObserved reports whether a route is one of the observability
 // endpoints. Those are exempt from their own instruments — a /metrics
 // scrape that counted itself would make two consecutive scrapes of an

@@ -75,7 +75,7 @@ const maxBodyBytes = 1 << 20
 type Config struct {
 	Addr           string        // listen address for ListenAndServe
 	MaxInFlight    int           // concurrent requests admitted past the semaphore
-	RequestTimeout time.Duration // per-request deadline enforced by the middleware
+	RequestTimeout time.Duration // per-request deadline, from semaphore admission; see middleware
 	MaxBatch       int           // largest accepted /v1/license batch
 	CacheSize      int           // capacity of each LRU cache
 	DrainTimeout   time.Duration // how long Shutdown waits for in-flight requests

@@ -15,11 +15,11 @@ import (
 // Watch streams deliberately sidestep the standard request machinery
 // (see middleware): they are long-lived, so holding an in-flight
 // semaphore slot would let a handful of watchers starve the query
-// endpoints, and http.TimeoutHandler's deadline (plus its non-Flusher
-// ResponseWriter) is incompatible with streaming. They get their own
-// concurrency bound (Config.MaxWatchers) and their own instruments
-// (watch_subscribers, watch_events_total, watch_events_dropped_total),
-// registered only when a WAL is mounted — which is also why this
+// endpoints, and the request deadline would sever the stream, so they
+// never get one. They get their own concurrency bound
+// (Config.MaxWatchers) and their own instruments (watch_subscribers,
+// watch_events_total, watch_events_dropped_total), registered only
+// when a WAL is mounted — which is also why this
 // endpoint is exempt from the idle-scrape byte-identity rule only in
 // WAL-mounted deployments, as documented in DESIGN.md.
 //
